@@ -48,6 +48,45 @@ dotDD(const double *x, const double *y, size_t n)
     return sum;
 }
 
+// Four register-blocked copies of dotDD's loop, not a call per row:
+// each row keeps dotDD's exact lane mapping, tail and serial lane sum
+// (and, being in the same clone set, the same FMA contraction), so
+// the results match dotDD bit for bit.
+MOKEY_SIMD_CLONES void
+dotDD4(const double *const x[4], const double *y, size_t n, double r[4])
+{
+    const double *x0 = x[0], *x1 = x[1], *x2 = x[2], *x3 = x[3];
+    double a0[16] = {}, a1[16] = {}, a2[16] = {}, a3[16] = {};
+    size_t p = 0;
+    for (; p + 16 <= n; p += 16) {
+        for (size_t l = 0; l < 16; ++l) {
+            const double yv = y[p + l];
+            a0[l] += x0[p + l] * yv;
+            a1[l] += x1[p + l] * yv;
+            a2[l] += x2[p + l] * yv;
+            a3[l] += x3[p + l] * yv;
+        }
+    }
+    for (; p < n; ++p) {
+        const double yv = y[p];
+        a0[p % 16] += x0[p] * yv;
+        a1[p % 16] += x1[p] * yv;
+        a2[p % 16] += x2[p] * yv;
+        a3[p % 16] += x3[p] * yv;
+    }
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t l = 0; l < 16; ++l) {
+        s0 += a0[l];
+        s1 += a1[l];
+        s2 += a2[l];
+        s3 += a3[l];
+    }
+    r[0] = s0;
+    r[1] = s1;
+    r[2] = s2;
+    r[3] = s3;
+}
+
 MOKEY_SIMD_CLONES double
 sumD(const double *x, size_t n)
 {

@@ -27,6 +27,16 @@ namespace mokey
 double dotDD(const double *x, const double *y, size_t n);
 
 /**
+ * Four dot products sharing one y stream: r[i] = x[i] . y. Each r[i]
+ * is bit-identical to dotDD(x[i], y, n) — the same 16-lane
+ * accumulator mapping, tail and in-order lane sum per row — while
+ * every y element is loaded once for all four rows. The GEMM engine
+ * uses it to read a weight row once per 4 activation rows.
+ */
+void dotDD4(const double *const x[4], const double *y, size_t n,
+            double r[4]);
+
+/**
  * Streaming sum of @p n doubles, 16-lane fixed-tree reduction. One
  * load + one add per element — the closest a kernel gets to pure
  * read bandwidth, which is what the engine-calibration probe

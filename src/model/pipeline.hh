@@ -56,7 +56,7 @@ void setFusedActEncode(bool fused);
  * graph fusion (the default) or the seed layer-at-a-time sequence.
  * Fused: every weight-site GEMM chains its epilogue (bias, residual,
  * norm, GELU, attention scale+softmax) and the next consumer's
- * activation quantization into the GEMM's own row-band walk, reads
+ * activation quantization into the GEMM's own walk, reads
  * the planes' precomputed fold sums, and uses the GraphPlan's hoisted
  * per-site constants — no intermediate float tensor or per-call
  * re-fold between chained GEMMs. Process-wide, initialized from

@@ -373,7 +373,9 @@ namespace
 {
 
 /**
- * One engine dot product over the mag planes and outlier sidecars.
+ * One engine dot product over the mag planes and outlier sidecars,
+ * given its GPE dot @p gdot = dotDD(ma, mw, k) (or the matching row of
+ * a dotDD4 block, bit-identical to it).
  *
  * The GPE histogram algebra collapses exactly: a Gaussian pair's
  * online terms
@@ -391,15 +393,15 @@ namespace
  *
  * noinline on purpose: a single instantiation guarantees identical
  * FP contraction for every caller, which the bit-parity guarantee
- * (scalar == tiled == any thread count) depends on.
+ * (scalar == tiled == 4-row blocked == any thread count) depends on.
  */
 __attribute__((noinline)) double
-engineDot(const GemmConstants &ctx, const double *ma,
+engineDot(const GemmConstants &ctx, double gdot, const double *ma,
           const CodePlanes::Outlier *oa, size_t na, const double *mw,
           const CodePlanes::Outlier *ow, size_t nw, double row_term,
           double col_term, uint64_t &ot_pairs)
 {
-    const double gpe = ctx.c0 * dotDD(ma, mw, ctx.k);
+    const double gpe = ctx.c0 * gdot;
 
     double ot_acc = 0.0;
     size_t x = 0, y = 0;
@@ -439,6 +441,18 @@ engineDot(const GemmConstants &ctx, const double *ma,
 
 /** Weight-tile width: ~8*kTileN*k mag-plane bytes stay L2-resident. */
 constexpr size_t kTileN = 32;
+
+/**
+ * Smallest streamed weight plane that takes the weight-stationary
+ * split: half of one core's 2 MiB L2 on the Xeon it was measured on.
+ * A smaller plane is re-read by every thread from cache, not memory,
+ * so the split saves no DRAM traffic and only adds its second
+ * fan-out. Forced onto the reduced model's planes (at most 295 KiB),
+ * the split cost 7% of mokey-bench ragged-http and 11% of short-http
+ * throughput (median of 10 alternating pairs each), while the
+ * BERT-base planes (4.5 MiB and up) gained on both BERT workloads.
+ */
+constexpr size_t kWeightStationaryMinBytes = size_t{1} << 20;
 
 Tensor
 engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
@@ -504,8 +518,9 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
                 const size_t na = pa.outlierCount(i);
                 float *orow = out.row(i);
                 for (size_t j = jb; j < jhi; ++j) {
+                    const double *mw = pw.magRow(j);
                     orow[j] = static_cast<float>(engineDot(
-                        ctx, ma, oa, na, pw.magRow(j),
+                        ctx, dotDD(ma, mw, k), ma, oa, na, mw,
                         pw.outlierRow(j), pw.outlierCount(j),
                         row_term[i], col_term[j], ot_pairs));
                 }
@@ -764,6 +779,15 @@ indexMatmulTransBBatched(const std::vector<const QuantizedTensor *> &as,
     return parts;
 }
 
+bool
+weightStationarySplit(size_t n, size_t k, IndexEngine engine)
+{
+    const size_t elem_bytes = engine == IndexEngine::Mag
+        ? sizeof(double)
+        : sizeof(uint8_t) + sizeof(int8_t);
+    return n * k * elem_bytes >= kWeightStationaryMinBytes;
+}
+
 FusedGemmOut
 indexMatmulTransBFused(const QuantizedTensor &a,
                        const QuantizedTensor &wt, IndexEngine engine,
@@ -845,76 +869,135 @@ indexMatmulTransBFused(const QuantizedTensor &a,
         row_ot.resize(m);
     }
 
-    const auto band = [&](size_t lo, size_t hi) {
-        uint64_t ot_pairs = 0;
-        // Without a dense output the band's rows live in a transient
-        // band-local buffer: encoded planes leave the band, the
-        // floats never leave this thread.
-        std::vector<float> buf;
-        if (!keepDense)
-            buf.resize((hi - lo) * n);
-        const auto rowAt = [&](size_t i) {
-            return keepDense ? out.dense.row(i)
-                             : buf.data() + (i - lo) * n;
-        };
-        // Identical tiled engine loops (and identical noinline dot
-        // kernels) to the layer-at-a-time path — only the source of
-        // the row/column terms differs, and those are bit-equal.
-        for (size_t jb = 0; jb < n; jb += kTileN) {
-            const size_t jhi = std::min(jb + kTileN, n);
-            for (size_t i = lo; i < hi; ++i) {
-                float *orow = rowAt(i);
-                const CodePlanes::Outlier *oa = pa.outlierRow(i);
-                const size_t na = pa.outlierCount(i);
-                if (mag_eng) {
-                    const double *ma = pa.magRow(i);
-                    for (size_t j = jb; j < jhi; ++j) {
-                        orow[j] = static_cast<float>(engineDot(
-                            ctx, ma, oa, na, pw.magRow(j),
-                            pw.outlierRow(j), pw.outlierCount(j),
-                            row_term[i], col_term[j], ot_pairs));
-                    }
-                } else {
-                    const uint8_t *ia = pa.indexRow(i);
-                    const int8_t *ta = pa.thetaRow(i);
-                    for (size_t j = jb; j < jhi; ++j) {
-                        orow[j] = static_cast<float>(countingDot(
-                            ctx, ia, ta, oa, na, pw.indexRow(j),
-                            pw.thetaRow(j), pw.outlierRow(j),
-                            pw.outlierCount(j), row_term[i],
-                            col_term[j], ot_pairs));
+    // Output rows [lo, hi) x columns [jb, jend), written to
+    // rows[(i - lo) * n + j]: the one tile kernel of both splits
+    // below. Identical noinline dot kernels to the layer-at-a-time
+    // path; only the source of the row/column terms differs, and
+    // those are bit-equal. The mag engine takes 4 activation rows per
+    // weight-row load (dotDD4, bit-identical to dotDD per row).
+    const auto tile = [&](size_t lo, size_t hi, size_t jb, size_t jend,
+                          float *rows, uint64_t &ot_pairs) {
+        size_t i = lo;
+        if (mag_eng) {
+            for (; i + 4 <= hi; i += 4) {
+                const double *ma[4];
+                for (size_t r = 0; r < 4; ++r)
+                    ma[r] = pa.magRow(i + r);
+                for (size_t j = jb; j < jend; ++j) {
+                    const double *mw = pw.magRow(j);
+                    double dots[4];
+                    dotDD4(ma, mw, k, dots);
+                    for (size_t r = 0; r < 4; ++r) {
+                        rows[(i + r - lo) * n + j] =
+                            static_cast<float>(engineDot(
+                                ctx, dots[r], ma[r],
+                                pa.outlierRow(i + r),
+                                pa.outlierCount(i + r), mw,
+                                pw.outlierRow(j), pw.outlierCount(j),
+                                row_term[i + r], col_term[j],
+                                ot_pairs));
                     }
                 }
             }
         }
-        // Epilogue + re-quantization while the rows are band-warm:
-        // the plane-to-plane handoff of the fused graph.
-        for (size_t i = lo; i < hi; ++i) {
-            float *vals = rowAt(i);
-            if (epilogue)
-                epilogue(i, vals, n);
-            if (outDict) {
-                uint8_t *ix =
-                    obytes ? op->index.data() + i * n : nullptr;
-                int8_t *th =
-                    obytes ? op->theta.data() + i * n : nullptr;
-                double *mg =
-                    omag ? op->mag.data() + i * n : nullptr;
-                lad.encodeRow(vals, n, ix, th, mg, row_ot[i]);
-                if (omag)
-                    op->magRowSum[i] = magPlaneRowSum(mg, n);
-                if (obytes)
-                    op->byteRowSum[i] =
-                        bytePlaneRowSum(ix, th, n, lad.foldMags);
+        for (; i < hi; ++i) {
+            float *orow = rows + (i - lo) * n;
+            const CodePlanes::Outlier *oa = pa.outlierRow(i);
+            const size_t na = pa.outlierCount(i);
+            if (mag_eng) {
+                const double *ma = pa.magRow(i);
+                for (size_t j = jb; j < jend; ++j) {
+                    const double *mw = pw.magRow(j);
+                    orow[j] = static_cast<float>(engineDot(
+                        ctx, dotDD(ma, mw, k), ma, oa, na, mw,
+                        pw.outlierRow(j), pw.outlierCount(j),
+                        row_term[i], col_term[j], ot_pairs));
+                }
+            } else {
+                const uint8_t *ia = pa.indexRow(i);
+                const int8_t *ta = pa.thetaRow(i);
+                for (size_t j = jb; j < jend; ++j) {
+                    orow[j] = static_cast<float>(countingDot(
+                        ctx, ia, ta, oa, na, pw.indexRow(j),
+                        pw.thetaRow(j), pw.outlierRow(j),
+                        pw.outlierCount(j), row_term[i], col_term[j],
+                        ot_pairs));
+                }
             }
         }
-        if (stats) {
-            const uint64_t pairs =
-                static_cast<uint64_t>(hi - lo) * n * k;
-            stats->add(pairs - ot_pairs, ot_pairs);
+    };
+    // Epilogue + re-quantization of complete rows [lo, hi), stored
+    // from @p rows on: the plane-to-plane handoff of the fused graph.
+    const auto finishRows = [&](size_t lo, size_t hi, float *rows) {
+        for (size_t i = lo; i < hi; ++i) {
+            float *vals = rows + (i - lo) * n;
+            if (epilogue)
+                epilogue(i, vals, n);
+            if (!outDict)
+                continue;
+            uint8_t *ix = obytes ? op->index.data() + i * n : nullptr;
+            int8_t *th = obytes ? op->theta.data() + i * n : nullptr;
+            double *mg = omag ? op->mag.data() + i * n : nullptr;
+            lad.encodeRow(vals, n, ix, th, mg, row_ot[i]);
+            if (omag)
+                op->magRowSum[i] = magPlaneRowSum(mg, n);
+            if (obytes)
+                op->byteRowSum[i] =
+                    bytePlaneRowSum(ix, th, n, lad.foldMags);
         }
     };
-    parallelForRange(lane, 0, m, 1, band);
+    const auto addStats = [&](size_t rows, size_t cols,
+                              uint64_t ot_pairs) {
+        if (!stats)
+            return;
+        const uint64_t pairs = static_cast<uint64_t>(rows) * cols * k;
+        stats->add(pairs - ot_pairs, ot_pairs);
+    };
+
+    if (weightStationarySplit(n, k, engine)) {
+        // Weight-stationary: each chunk owns a range of output
+        // columns — a block of weight rows — and computes it for all
+        // m rows, so every weight-plane byte is streamed from memory
+        // once per call, each core streaming a disjoint share, and a
+        // 1-row decode step still runs on every thread. Without a
+        // dense output the float rows live in a transient buffer.
+        std::vector<float> buf;
+        if (!keepDense)
+            buf.resize(m * n);
+        float *const rows = keepDense ? out.dense.data() : buf.data();
+        parallelForRange(lane, 0, n, 1, [&](size_t jlo, size_t jhi) {
+            uint64_t ot_pairs = 0;
+            for (size_t jb = jlo; jb < jhi; jb += kTileN)
+                tile(0, m, jb, std::min(jb + kTileN, jhi), rows,
+                     ot_pairs);
+            addStats(m, jhi - jlo, ot_pairs);
+        });
+        // A row is complete only once every column chunk is done, so
+        // the rows are finished in a second fan-out. On a 4-core Xeon
+        // that is ~6% of a 5-row BERT-base forward, and finishing all
+        // rows on one thread measured no faster.
+        parallelForRange(lane, 0, m, 1, [&](size_t lo, size_t hi) {
+            finishRows(lo, hi, rows + lo * n);
+        });
+    } else {
+        // Row bands: each chunk owns activation rows, walks every
+        // weight tile for them, then finishes its rows while they are
+        // band-warm. Without a dense output the band's rows live in a
+        // band-local buffer: the floats never leave this thread.
+        parallelForRange(lane, 0, m, 1, [&](size_t lo, size_t hi) {
+            uint64_t ot_pairs = 0;
+            std::vector<float> buf;
+            if (!keepDense)
+                buf.resize((hi - lo) * n);
+            float *const rows =
+                keepDense ? out.dense.row(lo) : buf.data();
+            for (size_t jb = 0; jb < n; jb += kTileN)
+                tile(lo, hi, jb, std::min(jb + kTileN, n), rows,
+                     ot_pairs);
+            finishRows(lo, hi, rows);
+            addStats(hi - lo, n, ot_pairs);
+        });
+    }
 
     if (outDict) {
         // Row-order sidecar stitch, identical to encodeToPlanes().

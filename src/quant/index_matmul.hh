@@ -314,24 +314,51 @@ struct FusedGemmOut
 };
 
 /**
+ * How indexMatmulTransBFused() splits an (m x k) * (n x k)^T GEMM
+ * across the pool: true for the weight-stationary split (chunks own
+ * output columns), false for row bands (chunks own activation rows).
+ * Weight-stationary when the streamed weight plane (8 B per element
+ * for Mag, 2 B for Count) is at least 1 MiB: such a plane is read
+ * from memory once per call instead of once per band. Smaller planes
+ * stay cache-resident, so every thread re-reading them is cheap and
+ * row bands save the split's second fan-out. A pure function of its
+ * arguments; a 1-thread pool runs either split inline with the same
+ * per-element work.
+ */
+bool weightStationarySplit(size_t n, size_t k, IndexEngine engine);
+
+/**
  * Plane-to-plane fused GEMM: the engine kernel of
  * indexMatmulTransB(), with the epilogue and the next layer's
- * activation quantization chained into the same row-band walk.
+ * activation quantization chained into the same walk.
  *
- * Per band: run the exact tiled engine loops (identical noinline
+ * The walk runs the exact tiled engine loops (identical noinline
  * engineDot/countingDot calls, reading the planes' precomputed
  * per-row fold sums instead of re-folding the SoA2 + b*PoM2 terms
- * per call), then, while the band's rows are still cache-warm, apply
- * @p epilogue and encode each row straight into the output planes
- * with the same comparator-ladder walk Quantizer::encodeToPlanes()
- * runs (shared LadderSpec::encodeRow) — no intermediate float tensor
- * unless @p keepDense asks for one.
+ * per call), then applies @p epilogue to each complete output row
+ * and encodes it straight into the output planes with the same
+ * comparator-ladder walk Quantizer::encodeToPlanes() runs (shared
+ * LadderSpec::encodeRow) — no intermediate float tensor unless
+ * @p keepDense asks for one. weightStationarySplit() picks how the
+ * pool shares the work:
  *
- * Every output value, encoded plane byte, and outlier entry is
- * bit-identical to the unfused sequence
+ *  - weight-stationary (large weights): each chunk owns a range of
+ *    output columns and computes it for all m rows; a second fan-out
+ *    over rows then runs the epilogue and the encode. Each weight
+ *    byte is streamed once per call however many rows there are,
+ *    and a 1-row decode step runs on every thread;
+ *  - row bands (smaller planes): each chunk owns activation rows,
+ *    walks every weight tile for them and finishes its rows while
+ *    they are cache-warm.
+ *
+ * Both run one tile kernel, in which the mag engine reads each
+ * weight row once per 4 activation rows (dotDD4).
+ *
+ * Every output value, encoded plane byte, outlier entry and stats
+ * count is bit-identical to the unfused sequence
  *   indexMatmulTransB* -> epilogue -> encodeToPlanes
- * for every thread count and lane, which the graph-fusion parity
- * tests pin.
+ * under either split, for every thread count and lane, which the
+ * index-matmul and graph-fusion parity tests pin.
  *
  * @param engine    resolved engine (Auto is a contract violation —
  *                  resolve per site first, see resolveIndexEngine())

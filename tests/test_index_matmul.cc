@@ -15,6 +15,8 @@
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
+#include "model/config.hh"
 #include "quant/fixed_pipeline.hh"
 #include "quant/index_matmul.hh"
 #include "quant/quantizer.hh"
@@ -912,6 +914,208 @@ TEST(GemmConstantsCache, EvictionKeepsResultsExact)
         EXPECT_EQ(fresh.prod, cached.prod) << "k=" << k;
         EXPECT_EQ(fresh.k, cached.k) << "k=" << k;
     }
+}
+
+TEST(BlockedDot, BitIdenticalToFourDotDD)
+{
+    // dotDD4 shares each y load across four rows; every row must keep
+    // dotDD's lane mapping, tail and lane sum exactly. Zeros at random
+    // slots stand in for the outlier positions of the mag planes.
+    Rng rng(4242);
+    for (const size_t n : {size_t{1}, size_t{15}, size_t{16},
+                           size_t{17}, size_t{768}, size_t{3071}}) {
+        std::vector<std::vector<double>> x(4, std::vector<double>(n));
+        std::vector<double> y(n);
+        for (size_t p = 0; p < n; ++p) {
+            y[p] = rng.gaussian(0.0, 1.5);
+            for (auto &row : x)
+                row[p] = rng.gaussian(0.2, 2.0);
+        }
+        for (size_t z = 0; z < n / 10 + 1; ++z) {
+            y[rng.uniformInt(n)] = 0.0;
+            x[rng.uniformInt(4)][rng.uniformInt(n)] = 0.0;
+        }
+        const double *xs[4] = {x[0].data(), x[1].data(), x[2].data(),
+                               x[3].data()};
+        double r[4];
+        dotDD4(xs, y.data(), n, r);
+        for (size_t i = 0; i < 4; ++i)
+            ASSERT_EQ(r[i], dotDD(xs[i], y.data(), n))
+                << "n=" << n << " row=" << i;
+    }
+}
+
+TEST(WeightStationarySplit, RuleFollowsWeightPlaneSize)
+{
+    // Reduced-model weight sites (planes far below 1 MiB) and attention
+    // act x act GEMMs keep row bands; every BERT-base weight site
+    // splits weight-stationary under both engines.
+    const ModelConfig r = reduced(bertBase(), 8);
+    const ModelConfig b = bertBase();
+    const size_t hd = b.headDim();
+    for (const IndexEngine e : {IndexEngine::Mag, IndexEngine::Count}) {
+        for (const auto &nk : {std::make_pair(r.hidden, r.hidden),
+                               std::make_pair(r.ffn, r.hidden),
+                               std::make_pair(r.hidden, r.ffn)})
+            EXPECT_FALSE(weightStationarySplit(nk.first, nk.second, e))
+                << "reduced n=" << nk.first << " k=" << nk.second;
+        for (const auto &nk : {std::make_pair(b.hidden, b.hidden),
+                               std::make_pair(b.ffn, b.hidden),
+                               std::make_pair(b.hidden, b.ffn)})
+            EXPECT_TRUE(weightStationarySplit(nk.first, nk.second, e))
+                << "bert n=" << nk.first << " k=" << nk.second;
+        for (const size_t seq : {1, 4, 16, 128, 512}) {
+            EXPECT_FALSE(weightStationarySplit(seq, hd, e));
+            EXPECT_FALSE(weightStationarySplit(hd, seq, e));
+        }
+    }
+
+    // A 1-thread pool runs a weight-stationary GEMM without submitting
+    // a loop to the executor; a 4-thread pool fans it out.
+    ExpDictionary exp(1.179, -0.977, 8);
+    Quantizer quantizer(exp);
+    Rng rng(31);
+    Tensor ta(2, b.hidden, rng.gaussianVector(2 * b.hidden, 0.0, 1.0));
+    Tensor tw(b.hidden, b.hidden,
+              rng.gaussianVector(b.hidden * b.hidden, 0.0, 0.05));
+    const auto qa = quantizer.encode(ta, quantizer.buildDictionary(ta));
+    const auto qw = quantizer.encode(tw, quantizer.buildDictionary(tw));
+    const ThreadCountGuard thread_guard;
+    const Lane lane = Lane::acquire();
+    for (const size_t t : {size_t{1}, size_t{4}}) {
+        setThreadCount(t);
+        const uint64_t before = laneStats(lane).loops;
+        indexMatmulTransBFused(qa, qw, IndexEngine::Mag, nullptr,
+                               nullptr, PlaneSet::Bytes, true, nullptr,
+                               nullptr, lane);
+        const uint64_t loops = laneStats(lane).loops - before;
+        if (t == 1) {
+            EXPECT_EQ(loops, 0u);
+        } else {
+            EXPECT_GT(loops, 0u);
+        }
+    }
+}
+
+/**
+ * indexMatmulTransBFused under both splits — BERT-base site shapes
+ * (weight-stationary, plus a k off the 16-lane grid) and a
+ * reduced-model shape (row bands) — against the scalar engine
+ * followed by the epilogue and encodeToPlanes: dense values, output
+ * planes, sidecars, fold sums and pair stats bit for bit. Row counts
+ * cover decode steps, the 4-row blocks and their tails. Each (shape,
+ * rows, engine) runs 1, 2 and 4 threads x default and acquired lanes,
+ * rotating through the three output modes (planes + epilogue +
+ * dense, planes + epilogue, dense only).
+ */
+TEST(WeightStationaryFused, BitIdenticalToScalarThenEncode)
+{
+    ExpDictionary exp(1.179, -0.977, 8);
+    Quantizer quantizer(exp);
+    const ThreadCountGuard thread_guard;
+    const FusedRowEpilogue epi = [](size_t i, float *vals, size_t n) {
+        for (size_t j = 0; j < n; ++j)
+            vals[j] = vals[j] * 0.75f + 0.01f * static_cast<float>(i % 3) -
+                0.002f * static_cast<float>(j % 5);
+    };
+    const auto sprinkled = [](Rng &rng, size_t rows, size_t cols,
+                              double stddev) {
+        Tensor t(rows, cols, rng.gaussianVector(rows * cols, 0.0, stddev));
+        for (size_t i = 0; i < t.size(); i += 97)
+            t.raw()[i] = static_cast<float>((i % 2 ? 9.0 : -8.0) * stddev);
+        return t;
+    };
+
+    struct NK
+    {
+        size_t n, k;
+    };
+    size_t ref_outliers = 0;
+    for (const NK s : {NK{768, 768}, NK{3072, 768}, NK{768, 3072},
+                       NK{768, 776}, NK{96, 384}}) {
+        Rng rng(100 + s.n + s.k);
+        const Tensor tw = sprinkled(rng, s.n, s.k, 0.05);
+        const auto qw = quantizer.encode(tw, quantizer.buildDictionary(tw));
+        for (const size_t m : {1, 2, 3, 4, 5, 7, 8, 15, 33}) {
+            const Tensor ta = sprinkled(rng, m, s.k, 1.0);
+            const auto qa =
+                quantizer.encode(ta, quantizer.buildDictionary(ta));
+            for (const IndexEngine e :
+                 {IndexEngine::Mag, IndexEngine::Count}) {
+                const std::string what = std::string("engine=") +
+                    indexEngineName(e) + " m=" + std::to_string(m) +
+                    " n=" + std::to_string(s.n) +
+                    " k=" + std::to_string(s.k);
+                IndexMatmulStats ref_stats;
+                const Tensor ref = e == IndexEngine::Mag
+                    ? indexMatmulTransBMagScalar(qa, qw, &ref_stats)
+                    : indexMatmulTransBCountingScalar(qa, qw, &ref_stats);
+                Tensor ref_epi = ref;
+                for (size_t i = 0; i < m; ++i)
+                    epi(i, ref_epi.row(i), s.n);
+                const TensorDictionary out_dict =
+                    quantizer.buildDictionary(ref_epi);
+                const auto ref_q = quantizer.encodeToPlanes(
+                    ref_epi, out_dict, PlaneSet::All);
+                const CodePlanes &rp = ref_q.planes();
+                ref_outliers += rp.outliers.size();
+
+                size_t config = 0;
+                for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
+                    setThreadCount(t);
+                    for (const Lane lane : {Lane{}, Lane::acquire()}) {
+                        const size_t mode = config++ % 3;
+                        const bool planes = mode != 2;
+                        const bool dense = mode != 1;
+                        const std::string at = what +
+                            " threads=" + std::to_string(t) +
+                            " lane=" + std::to_string(lane.id()) +
+                            " mode=" + std::to_string(mode);
+                        IndexMatmulStats stats;
+                        const FusedGemmOut out = indexMatmulTransBFused(
+                            qa, qw, e, planes ? epi : nullptr,
+                            planes ? &out_dict : nullptr, PlaneSet::All,
+                            dense, nullptr, &stats, lane);
+                        EXPECT_EQ(stats.gaussianPairs,
+                                  ref_stats.gaussianPairs)
+                            << at;
+                        EXPECT_EQ(stats.outlierPairs,
+                                  ref_stats.outlierPairs)
+                            << at;
+                        if (dense) {
+                            ASSERT_EQ(out.dense.raw(),
+                                      planes ? ref_epi.raw() : ref.raw())
+                                << at;
+                        }
+                        if (!planes)
+                            continue;
+                        const CodePlanes &op = out.planes.planes();
+                        ASSERT_EQ(op.index, rp.index) << at;
+                        ASSERT_EQ(op.theta, rp.theta) << at;
+                        ASSERT_EQ(op.mag, rp.mag) << at;
+                        ASSERT_EQ(op.rowStart, rp.rowStart) << at;
+                        ASSERT_EQ(op.outliers.size(), rp.outliers.size())
+                            << at;
+                        for (size_t x = 0; x < rp.outliers.size(); ++x) {
+                            ASSERT_EQ(op.outliers[x].col,
+                                      rp.outliers[x].col)
+                                << at;
+                            ASSERT_EQ(op.outliers[x].index,
+                                      rp.outliers[x].index)
+                                << at;
+                            ASSERT_EQ(op.outliers[x].value,
+                                      rp.outliers[x].value)
+                                << at;
+                        }
+                        ASSERT_EQ(op.magRowSum, rp.magRowSum) << at;
+                        ASSERT_EQ(op.byteRowSum, rp.byteRowSum) << at;
+                    }
+                }
+            }
+        }
+    }
+    // The output sidecar path was exercised, not just the planes.
+    EXPECT_GT(ref_outliers, 0u);
 }
 
 } // anonymous namespace
