@@ -112,7 +112,8 @@ void signedIndexHistogram(const uint8_t *idx, const int8_t *th,
  *  - outlier when |v - mean| > cut: the element's planes get the
  *    zero-index/zero-sign/zero-magnitude convention (idx 0, theta 0,
  *    mag 0.0) and only the count is reported — the caller resolves
- *    the outlier-dictionary code in its sidecar pass;
+ *    the outlier-dictionary code, and the mag slot's final value,
+ *    in its sidecar pass (LadderSpec::encodeRow);
  *  - otherwise u = (v - mean) / scale, theta = sign, and the index is
  *    the nearest entry of @p mags to |u|, ties to the lower index —
  *    bit-identical to ExpDictionary::nearestIndex() because every

@@ -2,20 +2,21 @@
  * @file
  * Runtime selection of the index-domain GEMM execution engine.
  *
- * Two engines realize the paper's index-domain algebra over the same
- * CodePlanes outlier sidecars but different dense-plane encodings:
+ * Two engines realize the paper's index-domain algebra over
+ * different dense-plane encodings of the same codes:
  *
- *  - Mag   : streams the 8-byte-per-element signed magnitude plane;
- *            the whole GPE histogram algebra collapses into one
- *            vectorized double dot product. Fastest when the planes
- *            are cache-resident.
+ *  - Mag   : streams the 8-byte-per-element signed magnitude plane,
+ *            whose outlier slots hold the centroid in Gaussian units,
+ *            so GPE and OPP collapse into one vectorized double dot
+ *            product. Fastest when the planes are cache-resident.
  *  - Count : the paper-faithful counting dataflow — streams the
  *            2-byte-per-element (uint8 index, int8 theta) byte
  *            planes, SIMD-accumulates a signed histogram over the
- *            joint index space per output element, then collapses it
+ *            joint index space per output element, collapses it
  *            with one short dot against the decoded dictionary
- *            products. 4x fewer streamed bytes per element; the
- *            histogram phase is exact integer arithmetic.
+ *            products and merges the outlier sidecars (OPP). 4x
+ *            fewer streamed bytes per element; the histogram phase
+ *            is exact integer arithmetic.
  *
  * The active engine is chosen once per process from the MOKEY_ENGINE
  * environment variable ("mag" or "count"; default "mag") and can be
@@ -56,8 +57,8 @@ const char *indexEngineName(IndexEngine engine);
 
 /**
  * The CodePlanes subset an engine streams: Mag reads the magnitude
- * plane, Count reads the index/theta byte planes. Both share the
- * outlier sidecars, which planes() always derives. Used to pin (and
+ * plane, Count reads the index/theta byte planes and the outlier
+ * sidecars, which planes() always derives. Used to pin (and
  * account) exactly the bytes the active engine will touch. Auto maps
  * to the byte planes — the cheap, always-acceptable default when the
  * per-GEMM choice has not resolved yet.

@@ -373,70 +373,55 @@ namespace
 {
 
 /**
- * One engine dot product over the mag planes and outlier sidecars,
- * given its GPE dot @p gdot = dotDD(ma, mw, k) (or the matching row of
- * a dotDD4 block, bit-identical to it).
+ * One engine output element, given its dot product
+ * @p gdot = dotDD(ma, mw, k) over two mag-plane rows (or the matching
+ * row of a dotDD4 block, bit-identical to it).
  *
- * The GPE histogram algebra collapses exactly: a Gaussian pair's
- * online terms
- *   s_a s_w (a^(ia+iw) + b a^ia + b a^iw + b^2) * sign
- * factor into  c0 * [th_a (a^ia + b)] * [th_w (a^iw + b)], i.e. the
- * product of the two mag-plane entries — so the whole branchy
- * histogram sweep plus exp.power() post-processing becomes one
- * vectorized dot product (outlier slots hold 0 and vanish). The CRF
- * histogram model itself lives on in indexDot(), which the property
- * tests hold this engine to.
- *
- * OPP: merge the column-sorted sidecars; each entry is one real MAC
- * plus the exact correction for what the precomputed terms already
- * counted.
+ * Every mag-plane slot decodes as mag * scale + mean — a Gaussian
+ * slot holds th (a^i + b), an outlier slot its centroid in Gaussian
+ * units — so with A = sA a + mA and W = sW w + mW for every element
+ *   sum A W = c0 dot(a, w) + sA mW sum a + sW mA sum w + k mA mW,
+ * where the row sums are the precomputed fold terms. For a Gaussian
+ * pair this is the GPE histogram algebra collapsed exactly: its
+ * online terms s_a s_w (a^(ia+iw) + b a^ia + b a^iw + b^2) * sign
+ * factor into c0 * [th_a (a^ia + b)] * [th_w (a^iw + b)]. An outlier
+ * pair — the OPP's one real multiply — is the same product of two
+ * slots, so no sidecar is walked and no correction is needed. The
+ * CRF histogram model itself lives on in indexDot(), which the
+ * property tests hold this engine to.
  *
  * noinline on purpose: a single instantiation guarantees identical
  * FP contraction for every caller, which the bit-parity guarantee
  * (scalar == tiled == 4-row blocked == any thread count) depends on.
  */
 __attribute__((noinline)) double
-engineDot(const GemmConstants &ctx, double gdot, const double *ma,
-          const CodePlanes::Outlier *oa, size_t na, const double *mw,
-          const CodePlanes::Outlier *ow, size_t nw, double row_term,
-          double col_term, uint64_t &ot_pairs)
+engineDot(const GemmConstants &ctx, double gdot, double row_term,
+          double col_term)
 {
-    const double gpe = ctx.c0 * gdot;
+    return ctx.c0 * gdot + row_term + col_term + ctx.constTerm;
+}
 
-    double ot_acc = 0.0;
-    size_t x = 0, y = 0;
+/**
+ * Publish one GEMM's pair counts. Every (row, column, reduction
+ * index) triple is a pair, and an outlier pair when either operand
+ * is an outlier there: n * (A outliers) + m * (W outliers) minus the
+ * coincident ones, which W's per-column outlier counts give in one
+ * pass over A's sidecar — O(outliers) per call, nothing per output
+ * element.
+ */
+void
+addPairStats(const CodePlanes &pa, const CodePlanes &pw, size_t k,
+             IndexMatmulStats *stats)
+{
+    if (!stats)
+        return;
+    const uint64_t m = pa.rows, n = pw.rows;
     uint64_t both = 0;
-    while (x < na && y < nw) {
-        if (oa[x].col == ow[y].col) {
-            ot_acc += oa[x].value * ow[y].value - ctx.mA * ctx.mW;
-            ++both;
-            ++x;
-            ++y;
-        } else if (oa[x].col < ow[y].col) {
-            const uint32_t c = oa[x].col;
-            const double wv = mw[c] * ctx.sW + ctx.mW;
-            ot_acc += (oa[x].value - ctx.mA) * wv;
-            ++x;
-        } else {
-            const uint32_t c = ow[y].col;
-            const double av = ma[c] * ctx.sA + ctx.mA;
-            ot_acc += (ow[y].value - ctx.mW) * av;
-            ++y;
-        }
-    }
-    for (; x < na; ++x) {
-        const uint32_t c = oa[x].col;
-        const double wv = mw[c] * ctx.sW + ctx.mW;
-        ot_acc += (oa[x].value - ctx.mA) * wv;
-    }
-    for (; y < nw; ++y) {
-        const uint32_t c = ow[y].col;
-        const double av = ma[c] * ctx.sA + ctx.mA;
-        ot_acc += (ow[y].value - ctx.mW) * av;
-    }
-    ot_pairs += na + nw - both;
-
-    return gpe + row_term + col_term + ctx.constTerm + ot_acc;
+    for (const CodePlanes::Outlier &o : pa.outliers)
+        both += pw.outlierColCount[o.col];
+    const uint64_t ot_pairs =
+        n * pa.outliers.size() + m * pw.outliers.size() - both;
+    stats->add(m * n * k - ot_pairs, ot_pairs);
 }
 
 /** Weight-tile width: ~8*kTileN*k mag-plane bytes stay L2-resident. */
@@ -475,9 +460,10 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
     const CodePlanes &pw = *pw_sp;
 
     // Pairing-independent sums folded straight into per-row/-column
-    // scalar terms of the reconstruction. The seed's SoA2 + b*PoM2
-    // is exactly the mag-plane row sum:
-    //   sum th (a^i) + b sum th  =  sum th (a^i + b).
+    // scalar terms of the reconstruction. Over the Gaussian slots the
+    // seed's SoA2 + b*PoM2 is exactly the mag-plane row sum,
+    //   sum th (a^i) + b sum th  =  sum th (a^i + b),
+    // and the outlier slots add their own (v - m) / s.
     // Folded per call on purpose — this layer-at-a-time path is the
     // frozen baseline the fused graph walk (which reads the planes'
     // precomputed magRowSum) is benchmarked against; the shared
@@ -507,29 +493,18 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
 
     Tensor out(m, n);
     const auto band = [&](size_t lo, size_t hi) {
-        uint64_t ot_pairs = 0;
         // Tile over the weight rows so a kTileN-row plane block is
         // reused by every activation row of the band.
         for (size_t jb = 0; jb < n; jb += kTileN) {
             const size_t jhi = std::min(jb + kTileN, n);
             for (size_t i = lo; i < hi; ++i) {
                 const double *ma = pa.magRow(i);
-                const CodePlanes::Outlier *oa = pa.outlierRow(i);
-                const size_t na = pa.outlierCount(i);
                 float *orow = out.row(i);
-                for (size_t j = jb; j < jhi; ++j) {
-                    const double *mw = pw.magRow(j);
-                    orow[j] = static_cast<float>(engineDot(
-                        ctx, dotDD(ma, mw, k), ma, oa, na, mw,
-                        pw.outlierRow(j), pw.outlierCount(j),
-                        row_term[i], col_term[j], ot_pairs));
-                }
+                for (size_t j = jb; j < jhi; ++j)
+                    orow[j] = static_cast<float>(
+                        engineDot(ctx, dotDD(ma, pw.magRow(j), k),
+                                  row_term[i], col_term[j]));
             }
-        }
-        if (stats) {
-            const uint64_t pairs =
-                static_cast<uint64_t>(hi - lo) * n * k;
-            stats->add(pairs - ot_pairs, ot_pairs);
         }
     };
 
@@ -537,6 +512,7 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
         parallelForRange(lane, 0, m, 1, band);
     else
         band(0, m);
+    addPairStats(pa, pw, k, stats);
     return out;
 }
 
@@ -554,8 +530,10 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
  * integer arithmetic; the collapse is a fixed-order loop, so every
  * output element is a deterministic function of the codes alone.
  *
- * OPP: identical sidecar merge to the mag engine, with the Gaussian
- * partner decoded from its byte planes (theta * mags[idx] * s + m).
+ * OPP: merge the column-sorted sidecars; each entry is one real MAC
+ * plus the exact correction for what the precomputed terms already
+ * counted, with the Gaussian partner decoded from its byte planes
+ * (theta * mags[idx] * s + m).
  *
  * noinline for the same reason as engineDot: one instantiation =
  * one FP contraction order for every caller.
@@ -565,7 +543,7 @@ countingDot(const GemmConstants &cc, const uint8_t *ia,
             const int8_t *ta, const CodePlanes::Outlier *oa,
             size_t na, const uint8_t *iw, const int8_t *tw,
             const CodePlanes::Outlier *ow, size_t nw,
-            double row_term, double col_term, uint64_t &ot_pairs)
+            double row_term, double col_term)
 {
     const GemmConstants &ctx = cc;
 
@@ -578,11 +556,9 @@ countingDot(const GemmConstants &cc, const uint8_t *ia,
 
     double ot_acc = 0.0;
     size_t x = 0, y = 0;
-    uint64_t both = 0;
     while (x < na && y < nw) {
         if (oa[x].col == ow[y].col) {
             ot_acc += oa[x].value * ow[y].value - ctx.mA * ctx.mW;
-            ++both;
             ++x;
             ++y;
         } else if (oa[x].col < ow[y].col) {
@@ -609,7 +585,6 @@ countingDot(const GemmConstants &cc, const uint8_t *ia,
         const double av = ta[c] * cc.mags[ia[c]] * ctx.sA + ctx.mA;
         ot_acc += (ow[y].value - ctx.mW) * av;
     }
-    ot_pairs += na + nw - both;
 
     return gpe + row_term + col_term + ctx.constTerm + ot_acc;
 }
@@ -661,7 +636,6 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
 
     Tensor out(m, n);
     const auto band = [&](size_t lo, size_t hi) {
-        uint64_t ot_pairs = 0;
         // Same weight-row tiling as the mag engine; a kTileN-row
         // byte-plane block is 2*kTileN*k bytes — 4x more rows stay
         // cache-resident than with mag planes.
@@ -678,14 +652,9 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
                         cc, ia, ta, oa, na, pw.indexRow(j),
                         pw.thetaRow(j), pw.outlierRow(j),
                         pw.outlierCount(j), row_term[i],
-                        col_term[j], ot_pairs));
+                        col_term[j]));
                 }
             }
-        }
-        if (stats) {
-            const uint64_t pairs =
-                static_cast<uint64_t>(hi - lo) * n * k;
-            stats->add(pairs - ot_pairs, ot_pairs);
         }
     };
 
@@ -693,6 +662,7 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
         parallelForRange(lane, 0, m, 1, band);
     else
         band(0, m);
+    addPairStats(pa, pw, k, stats);
     return out;
 }
 
@@ -876,7 +846,7 @@ indexMatmulTransBFused(const QuantizedTensor &a,
     // those are bit-equal. The mag engine takes 4 activation rows per
     // weight-row load (dotDD4, bit-identical to dotDD per row).
     const auto tile = [&](size_t lo, size_t hi, size_t jb, size_t jend,
-                          float *rows, uint64_t &ot_pairs) {
+                          float *rows) {
         size_t i = lo;
         if (mag_eng) {
             for (; i + 4 <= hi; i += 4) {
@@ -884,44 +854,34 @@ indexMatmulTransBFused(const QuantizedTensor &a,
                 for (size_t r = 0; r < 4; ++r)
                     ma[r] = pa.magRow(i + r);
                 for (size_t j = jb; j < jend; ++j) {
-                    const double *mw = pw.magRow(j);
                     double dots[4];
-                    dotDD4(ma, mw, k, dots);
-                    for (size_t r = 0; r < 4; ++r) {
+                    dotDD4(ma, pw.magRow(j), k, dots);
+                    for (size_t r = 0; r < 4; ++r)
                         rows[(i + r - lo) * n + j] =
                             static_cast<float>(engineDot(
-                                ctx, dots[r], ma[r],
-                                pa.outlierRow(i + r),
-                                pa.outlierCount(i + r), mw,
-                                pw.outlierRow(j), pw.outlierCount(j),
-                                row_term[i + r], col_term[j],
-                                ot_pairs));
-                    }
+                                ctx, dots[r], row_term[i + r],
+                                col_term[j]));
                 }
             }
         }
         for (; i < hi; ++i) {
             float *orow = rows + (i - lo) * n;
-            const CodePlanes::Outlier *oa = pa.outlierRow(i);
-            const size_t na = pa.outlierCount(i);
             if (mag_eng) {
                 const double *ma = pa.magRow(i);
-                for (size_t j = jb; j < jend; ++j) {
-                    const double *mw = pw.magRow(j);
-                    orow[j] = static_cast<float>(engineDot(
-                        ctx, dotDD(ma, mw, k), ma, oa, na, mw,
-                        pw.outlierRow(j), pw.outlierCount(j),
-                        row_term[i], col_term[j], ot_pairs));
-                }
+                for (size_t j = jb; j < jend; ++j)
+                    orow[j] = static_cast<float>(
+                        engineDot(ctx, dotDD(ma, pw.magRow(j), k),
+                                  row_term[i], col_term[j]));
             } else {
                 const uint8_t *ia = pa.indexRow(i);
                 const int8_t *ta = pa.thetaRow(i);
+                const CodePlanes::Outlier *oa = pa.outlierRow(i);
+                const size_t na = pa.outlierCount(i);
                 for (size_t j = jb; j < jend; ++j) {
                     orow[j] = static_cast<float>(countingDot(
                         ctx, ia, ta, oa, na, pw.indexRow(j),
                         pw.thetaRow(j), pw.outlierRow(j),
-                        pw.outlierCount(j), row_term[i], col_term[j],
-                        ot_pairs));
+                        pw.outlierCount(j), row_term[i], col_term[j]));
                 }
             }
         }
@@ -946,14 +906,6 @@ indexMatmulTransBFused(const QuantizedTensor &a,
                     bytePlaneRowSum(ix, th, n, lad.foldMags);
         }
     };
-    const auto addStats = [&](size_t rows, size_t cols,
-                              uint64_t ot_pairs) {
-        if (!stats)
-            return;
-        const uint64_t pairs = static_cast<uint64_t>(rows) * cols * k;
-        stats->add(pairs - ot_pairs, ot_pairs);
-    };
-
     if (weightStationarySplit(n, k, engine)) {
         // Weight-stationary: each chunk owns a range of output
         // columns — a block of weight rows — and computes it for all
@@ -966,11 +918,8 @@ indexMatmulTransBFused(const QuantizedTensor &a,
             buf.resize(m * n);
         float *const rows = keepDense ? out.dense.data() : buf.data();
         parallelForRange(lane, 0, n, 1, [&](size_t jlo, size_t jhi) {
-            uint64_t ot_pairs = 0;
             for (size_t jb = jlo; jb < jhi; jb += kTileN)
-                tile(0, m, jb, std::min(jb + kTileN, jhi), rows,
-                     ot_pairs);
-            addStats(m, jhi - jlo, ot_pairs);
+                tile(0, m, jb, std::min(jb + kTileN, jhi), rows);
         });
         // A row is complete only once every column chunk is done, so
         // the rows are finished in a second fan-out. On a 4-core Xeon
@@ -985,46 +934,21 @@ indexMatmulTransBFused(const QuantizedTensor &a,
         // band-warm. Without a dense output the band's rows live in a
         // band-local buffer: the floats never leave this thread.
         parallelForRange(lane, 0, m, 1, [&](size_t lo, size_t hi) {
-            uint64_t ot_pairs = 0;
             std::vector<float> buf;
             if (!keepDense)
                 buf.resize((hi - lo) * n);
             float *const rows =
                 keepDense ? out.dense.row(lo) : buf.data();
             for (size_t jb = 0; jb < n; jb += kTileN)
-                tile(lo, hi, jb, std::min(jb + kTileN, n), rows,
-                     ot_pairs);
+                tile(lo, hi, jb, std::min(jb + kTileN, n), rows);
             finishRows(lo, hi, rows);
-            addStats(hi - lo, n, ot_pairs);
         });
     }
+    addPairStats(pa, pw, k, stats);
 
     if (outDict) {
         // Row-order sidecar stitch, identical to encodeToPlanes().
-        op->rowStart.assign(m + 1, 0);
-        size_t total = 0;
-        for (size_t r = 0; r < m; ++r) {
-            total += row_ot[r].size();
-            op->rowStart[r + 1] = static_cast<uint32_t>(total);
-        }
-        op->outliers.reserve(total);
-        for (size_t r = 0; r < m; ++r)
-            op->outliers.insert(op->outliers.end(),
-                                row_ot[r].begin(), row_ot[r].end());
-#ifndef NDEBUG
-        if (obytes) {
-            for (size_t r = 0; r < m; ++r) {
-                for (size_t i = 0; i < op->outlierCount(r); ++i) {
-                    const uint32_t c = op->outlierRow(r)[i].col;
-                    MOKEY_ASSERT(op->indexRow(r)[c] == 0 &&
-                                     op->thetaRow(r)[c] == 0,
-                                 "fused outlier slot (%zu, %u) "
-                                 "violates the zero-index/zero-sign "
-                                 "plane convention", r, c);
-                }
-            }
-        }
-#endif
+        stitchOutliers(*op, row_ot, *outDict);
         out.planes =
             QuantizedTensor::fromPlanes(std::move(op), *outDict);
     }

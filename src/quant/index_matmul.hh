@@ -23,7 +23,9 @@
  *
  * With these corrections the index-domain result equals the
  * decode-then-multiply reference *exactly* (up to FP rounding), which
- * the property tests assert.
+ * the property tests assert. The mag engine needs no OPP: its planes
+ * store an outlier as (v - m) / s, so one dense dot covers every
+ * pair with no correction term.
  */
 
 #ifndef MOKEY_QUANT_INDEX_MATMUL_HH
@@ -123,9 +125,9 @@ struct VectorConstants
  * The counters are atomic so several GEMMs may accumulate into one
  * shared stats object concurrently — the batched serving path runs
  * attention heads of independent requests on the pool, all feeding
- * the pipeline's single accumulator. Kernels accumulate privately
- * and publish once per band via add()/merge(), so the atomics stay
- * off the per-pair hot path.
+ * the pipeline's single accumulator. Kernels publish once per call
+ * or band via add()/merge(), so the atomics stay off the per-pair
+ * hot path.
  */
 struct IndexMatmulStats
 {
@@ -205,12 +207,13 @@ double indexDot(const QCode *a, const TensorDictionary &dict_a,
  *    planes and SIMD-accumulates per-pair signed histograms — the
  *    paper's counting dataflow, 4x fewer streamed bytes/element.
  *
- * Both merge-iterate the per-row outlier sidecars (OPP), tile the
- * output for cache reuse, and split row bands across the executor
- * on @p lane. Per-output-element arithmetic order is fixed within
- * an engine, so results are bit-identical for every thread count
- * and lane assignment, and identical to indexMatmulTransBScalar()
- * under the same engine selection.
+ * The counting engine merge-iterates the outlier sidecars (OPP); the
+ * mag planes carry the outliers. Both tile the output for cache
+ * reuse, and split row bands across the executor on @p lane.
+ * Per-output-element arithmetic order is fixed within an engine, so
+ * results are bit-identical for every thread count and lane
+ * assignment, and identical to indexMatmulTransBScalar() under the
+ * same engine selection.
  */
 Tensor indexMatmulTransB(const QuantizedTensor &a,
                          const QuantizedTensor &wt,

@@ -67,7 +67,65 @@ fillRowSums(CodePlanes &p, const ExpDictionary &exp)
     }
 }
 
+/**
+ * Complete a planes view whose sidecar is built: fill
+ * outlierColCount and, in debug builds, check the outlier slots. The
+ * counting loop needs (index 0, theta 0) so an outlier's histogram
+ * contribution vanishes; the mag dot needs a slot that decodes to the
+ * centroid so the outlier is counted there exactly once.
+ */
+void
+sealOutliers(CodePlanes &p,
+             [[maybe_unused]] const TensorDictionary &dict)
+{
+    p.outlierColCount.assign(p.cols, 0);
+    for (const CodePlanes::Outlier &o : p.outliers)
+        ++p.outlierColCount[o.col];
+#ifndef NDEBUG
+    for (size_t r = 0; r < p.rows; ++r) {
+        for (size_t i = 0; i < p.outlierCount(r); ++i) {
+            const CodePlanes::Outlier &o = p.outlierRow(r)[i];
+            if (!p.index.empty())
+                MOKEY_ASSERT(p.indexRow(r)[o.col] == 0 &&
+                                 p.thetaRow(r)[o.col] == 0,
+                             "outlier slot (%zu, %u) violates the "
+                             "zero-index/zero-sign plane convention",
+                             r, o.col);
+            if (p.mag.empty())
+                continue;
+            const double back =
+                p.magRow(r)[o.col] * dict.scale() + dict.mean();
+            MOKEY_ASSERT(std::abs(back - o.value) <=
+                             1e-12 * (std::abs(o.value) +
+                                      std::abs(dict.mean())),
+                         "outlier mag slot (%zu, %u) decodes to %g, "
+                         "not its centroid %g", r, o.col, back,
+                         o.value);
+        }
+    }
+#endif
+}
+
 } // anonymous namespace
+
+void
+stitchOutliers(
+    CodePlanes &p,
+    const std::vector<std::vector<CodePlanes::Outlier>> &row_ot,
+    const TensorDictionary &dict)
+{
+    p.rowStart.assign(p.rows + 1, 0);
+    size_t total = 0;
+    for (size_t r = 0; r < p.rows; ++r) {
+        total += row_ot[r].size();
+        p.rowStart[r + 1] = static_cast<uint32_t>(total);
+    }
+    p.outliers.reserve(total);
+    for (size_t r = 0; r < p.rows; ++r)
+        p.outliers.insert(p.outliers.end(), row_ot[r].begin(),
+                          row_ot[r].end());
+    sealOutliers(p, dict);
+}
 
 QCode
 QCode::gaussian(bool negative, uint8_t index)
@@ -142,14 +200,20 @@ QuantizedTensor::materializeCodes() const
             for (size_t c = 0; c < nCols; ++c)
                 dst[c] = QCode::gaussian(th[c] < 0, ix[c]);
         } else {
-            // Invert the mag plane: entries are exact copies of
-            // +/- dictionary magnitudes, so the nearest-index lookup
-            // recovers the original index bit-exactly (the table is
-            // strictly increasing, distance zero wins).
+            // Invert the mag plane: Gaussian entries are exact
+            // copies of +/- dictionary magnitudes, so the
+            // nearest-index lookup recovers the original index
+            // bit-exactly (the table is strictly increasing,
+            // distance zero wins). Outlier slots, found from the
+            // column-sorted sidecar, are filled below.
             const double *mg = p->magRow(r);
-            for (size_t c = 0; c < nCols; ++c) {
-                if (mg[c] == 0.0)
-                    continue; // outlier slot, sidecar fills it below
+            const CodePlanes::Outlier *ot = p->outlierRow(r);
+            const size_t n_ot = p->outlierCount(r);
+            for (size_t c = 0, x = 0; c < nCols; ++c) {
+                if (x < n_ot && ot[x].col == c) {
+                    ++x;
+                    continue;
+                }
                 const bool neg = mg[c] < 0.0;
                 const size_t i =
                     dict.exp().nearestIndex(std::abs(mg[c]));
@@ -235,7 +299,7 @@ QuantizedTensor::planesShared(PlaneSet need) const
                     th[c] = 0;
                 }
                 if (want_mag)
-                    mg[c] = 0.0;
+                    mg[c] = dict.outlierMagValue(q.outlierIndex());
                 p->outliers.push_back(
                     {static_cast<uint32_t>(c), q.outlierIndex(),
                      dict.outlierValue(q.outlierIndex())});
@@ -251,23 +315,8 @@ QuantizedTensor::planesShared(PlaneSet need) const
         }
         p->rowStart[r + 1] =
             static_cast<uint32_t>(p->outliers.size());
-#ifndef NDEBUG
-        // The branch-free counting loop depends on outlier slots
-        // carrying (index 0, theta 0) so their sign product — and
-        // with it every histogram contribution — vanishes. Enforce
-        // the convention where the planes are derived instead of
-        // assuming it downstream.
-        if (want_bytes) {
-            for (size_t c = 0; c < nCols; ++c) {
-                if (src[c].isOutlier())
-                    MOKEY_ASSERT(idx[c] == 0 && th[c] == 0,
-                                 "outlier slot (%zu, %zu) violates "
-                                 "the zero-index/zero-sign plane "
-                                 "convention", r, c);
-            }
-        }
-#endif
     }
+    sealOutliers(*p, dict);
     fillRowSums(*p, dict.exp());
     std::atomic_store_explicit(&planesCache,
                                std::shared_ptr<const CodePlanes>(p),
@@ -324,7 +373,8 @@ QuantizedTensor::planesFootprint() const
         return p.index.size() * sizeof(uint8_t) +
             p.theta.size() * sizeof(int8_t) +
             p.mag.size() * sizeof(double) +
-            p.rowStart.size() * sizeof(uint32_t) +
+            (p.rowStart.size() + p.outlierColCount.size()) *
+                sizeof(uint32_t) +
             p.outliers.size() * sizeof(CodePlanes::Outlier) +
             (p.magRowSum.size() + p.byteRowSum.size()) *
                 sizeof(double);

@@ -96,12 +96,13 @@ planeSetCovers(PlaneSet have, PlaneSet need)
  * 3 b index and a +/-1 sign; outlier positions carry index 0 and
  * sign 0, so a branch-free inner loop can stream them and have their
  * histogram contributions vanish — the counting engine's inner loop
- * relies on that invariant (it is asserted when planes are derived
- * in debug builds, see quantized_tensor.cc). Only the planes named
- * by @c sets are materialized; the outlier sidecar is always built.
+ * relies on that invariant (every plane builder asserts it in debug
+ * builds). Only the planes named by @c sets are materialized; the
+ * outlier sidecar is always built.
  * The outlier pairs live in a per-row sidecar of (column, decoded
- * centroid) entries sorted by column — short lists the OPP path
- * merge-iterates.
+ * centroid) entries sorted by column — short lists the counting
+ * engine's OPP merge-iterates. The mag plane needs no sidecar walk:
+ * its outlier slots hold the centroid in Gaussian units.
  */
 struct CodePlanes
 {
@@ -113,11 +114,13 @@ struct CodePlanes
     std::vector<int8_t> theta;  ///< +1/-1 sign plane (0 at outliers)
 
     /**
-     * Signed unscaled magnitude plane: theta * (a^index + b), 0.0 at
-     * outliers. The engine's workhorse: the entire GPE histogram
-     * algebra for a pair of rows collapses exactly to
-     * s_a*s_w * dot(magA, magW) (see index_matmul.cc), and a
-     * Gaussian code decodes as mag * scale + mean.
+     * Signed unscaled magnitude plane: theta * (a^index + b) for a
+     * Gaussian code, (centroid - mean) / scale for an outlier
+     * (TensorDictionary::outlierMagValue). Every slot decodes as
+     * mag * scale + mean, so the mag engine's whole dot product,
+     * GPE histogram algebra and OPP alike, collapses to
+     * s_a*s_w * dot(magA, magW) plus the row, column and constant
+     * terms (see index_matmul.cc).
      */
     std::vector<double> mag;
 
@@ -135,6 +138,9 @@ struct CodePlanes
     };
     std::vector<Outlier> outliers;  ///< all rows, concatenated
     std::vector<uint32_t> rowStart; ///< rows+1 offsets into outliers
+    /** Outliers per column over all rows: a GEMM with this tensor
+     * as the weight counts coincident outlier pairs from it. */
+    std::vector<uint32_t> outlierColCount;
 
     /**
      * Precomputed pairing-independent fold terms, one per row — the
@@ -188,8 +194,20 @@ struct CodePlanes
 };
 
 /**
+ * Concatenate per-row sidecar lists into @p p in row order, so the
+ * sidecar is the same for every chunking of the rows that built
+ * them; then fill outlierColCount and, in debug builds, check every
+ * outlier slot against the plane conventions (derivation does the
+ * same).
+ */
+void stitchOutliers(
+    CodePlanes &p,
+    const std::vector<std::vector<CodePlanes::Outlier>> &row_ot,
+    const TensorDictionary &dict);
+
+/**
  * The mag engine's pairing-independent row fold: serial in-order sum
- * of one mag-plane row (outlier slots hold 0.0 and vanish). Kept as
+ * of one mag-plane row, outlier slots included. Kept as
  * a plain serial loop on purpose — the precomputed CodePlanes row
  * sums and the per-call GEMM folds must share one arithmetic order
  * for the fused and layer-at-a-time paths to stay bit-identical.

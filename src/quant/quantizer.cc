@@ -48,7 +48,8 @@ LadderSpec::encodeRow(const float *src, size_t n, uint8_t *ix,
         return 0;
     // Resolve the rare outlier lanes scalar (the OPP side): the
     // kernel marked them with the zero-sign / zero-mag convention,
-    // which doubles as the scan key.
+    // which doubles as the scan key. A mag slot then gets its
+    // centroid in Gaussian units, past the point the scan reads.
     ot.reserve(ot.size() + n_ot);
     size_t found = 0;
     for (size_t c = 0; c < n && found < n_ot; ++c) {
@@ -60,6 +61,8 @@ LadderSpec::encodeRow(const float *src, size_t n, uint8_t *ix,
         ot.push_back({static_cast<uint32_t>(c),
                       static_cast<uint8_t>(oi),
                       dict->outlierValue(oi)});
+        if (mg)
+            mg[c] = dict->outlierMagValue(oi);
         ++found;
     }
     return n_ot;
@@ -154,33 +157,7 @@ Quantizer::encodeToPlanes(const Tensor &t,
                     bytePlaneRowSum(ix, th, cols, lad.foldMags);
         });
 
-    p->rowStart.assign(rows + 1, 0);
-    size_t total = 0;
-    for (size_t r = 0; r < rows; ++r) {
-        total += row_ot[r].size();
-        p->rowStart[r + 1] = static_cast<uint32_t>(total);
-    }
-    p->outliers.reserve(total);
-    for (size_t r = 0; r < rows; ++r)
-        p->outliers.insert(p->outliers.end(), row_ot[r].begin(),
-                           row_ot[r].end());
-#ifndef NDEBUG
-    // Same invariant derivePlanes() asserts: outlier slots must
-    // carry the zero-index/zero-sign convention the branch-free
-    // engines rely on.
-    if (wbytes) {
-        for (size_t r = 0; r < rows; ++r) {
-            for (size_t i = 0; i < p->outlierCount(r); ++i) {
-                const uint32_t c = p->outlierRow(r)[i].col;
-                MOKEY_ASSERT(p->indexRow(r)[c] == 0 &&
-                                 p->thetaRow(r)[c] == 0,
-                             "fused outlier slot (%zu, %u) violates "
-                             "the zero-index/zero-sign plane "
-                             "convention", r, c);
-            }
-        }
-    }
-#endif
+    stitchOutliers(*p, row_ot, dict);
     return QuantizedTensor::fromPlanes(std::move(p), dict);
 }
 

@@ -54,7 +54,9 @@ struct LadderSpec
      * the requested plane slices (any of @p ix / @p th / @p mg may
      * be null), then resolve the rare outlier lanes scalar,
      * appending (col, OT index, centroid) entries to @p ot in column
-     * order. Returns the outlier count.
+     * order and writing each outlier's mag slot
+     * (TensorDictionary::outlierMagValue). Returns the outlier
+     * count.
      */
     size_t encodeRow(const float *src, size_t n, uint8_t *ix,
                      int8_t *th, double *mg,

@@ -85,6 +85,12 @@ TensorDictionary::outlierValue(size_t index) const
     return ot[index];
 }
 
+double
+TensorDictionary::outlierMagValue(size_t index) const
+{
+    return (outlierValue(index) - m) / s;
+}
+
 size_t
 TensorDictionary::nearestOutlierIndex(double v) const
 {

@@ -90,6 +90,13 @@ class TensorDictionary
     /** Value of outlier-dictionary entry @p index. */
     double outlierValue(size_t index) const;
 
+    /**
+     * Entry @p index in Gaussian units, (value - mean) / scale: what
+     * an outlier slot of a mag plane holds, so that mag * scale +
+     * mean decodes every slot of the plane.
+     */
+    double outlierMagValue(size_t index) const;
+
     /** Nearest outlier-dictionary index for @p v. */
     size_t nearestOutlierIndex(double v) const;
 

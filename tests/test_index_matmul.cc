@@ -1118,5 +1118,115 @@ TEST(WeightStationaryFused, BitIdenticalToScalarThenEncode)
     EXPECT_GT(ref_outliers, 0u);
 }
 
+/**
+ * The mag engine folds every outlier into its dense dot: an outlier
+ * slot of the mag plane holds (centroid - mean) / scale. Held here
+ * against the decode-then-multiply oracle, which never reads a
+ * plane, on operands whose outliers sit at known columns — only A
+ * has one, only W has one, or both do — with each operand's planes
+ * built both ways (derived from codes, and encoded straight from
+ * floats), under both fused splits and the unfused engine. The pair
+ * stats are held to a brute-force count over the codes.
+ */
+TEST(MagOutlierFold, MatchesDecodedOracleAtForcedOutlierColumns)
+{
+    ExpDictionary exp(1.179, -0.977, 8);
+    Quantizer quantizer(exp);
+    const ThreadCountGuard thread_guard;
+    setThreadCount(4);
+
+    struct NK
+    {
+        size_t n, k;
+        bool weightStationary;
+    };
+    for (const NK s : {NK{40, 200, false}, NK{768, 256, true}}) {
+        ASSERT_EQ(weightStationarySplit(s.n, s.k, IndexEngine::Mag),
+                  s.weightStationary);
+        const size_t m = 6;
+        // One column in 40 of each kind: few enough that the forced
+        // values sit far beyond each dictionary's outlier cut.
+        const auto a_only = [](size_t c) { return c % 40 == 3; };
+        const auto w_only = [](size_t c) { return c % 40 == 16; };
+        const auto both = [](size_t c) { return c % 40 == 29; };
+        Rng rng(77 + s.n);
+        Tensor ta(m, s.k, rng.gaussianVector(m * s.k, 0.3, 1.0));
+        Tensor tw(s.n, s.k, rng.gaussianVector(s.n * s.k, -0.01, 0.05));
+        for (size_t c = 0; c < s.k; ++c) {
+            for (size_t i = 0; i < m; ++i)
+                if (a_only(c) || both(c))
+                    ta.at(i, c) = 0.3f + ((i + c) % 2 ? 20.0f : -23.0f);
+            for (size_t j = 0; j < s.n; ++j)
+                if (w_only(c) || both(c))
+                    tw.at(j, c) =
+                        -0.01f + ((j + c) % 3 ? 1.0f : -1.2f);
+        }
+        const TensorDictionary da = quantizer.buildDictionary(ta);
+        const TensorDictionary dw = quantizer.buildDictionary(tw);
+
+        for (const bool encoded : {false, true}) {
+            const auto build = [&](const Tensor &t,
+                                   const TensorDictionary &d) {
+                return encoded
+                    ? quantizer.encodeToPlanes(t, d, PlaneSet::Mag)
+                    : quantizer.encode(t, d);
+            };
+            const QuantizedTensor qa = build(ta, da);
+            const QuantizedTensor qw = build(tw, dw);
+            const std::string what = "n=" + std::to_string(s.n) +
+                " k=" + std::to_string(s.k) +
+                (encoded ? " encoded" : " derived");
+
+            // The forced columns are outliers exactly where intended,
+            // and the rest of the pairs give the brute-force count.
+            uint64_t want_ot = 0;
+            for (size_t i = 0; i < m; ++i) {
+                for (size_t c = 0; c < s.k; ++c) {
+                    ASSERT_EQ(qa.at(i, c).isOutlier(),
+                              a_only(c) || both(c))
+                        << what << " a(" << i << "," << c << ")";
+                }
+            }
+            for (size_t j = 0; j < s.n; ++j) {
+                for (size_t c = 0; c < s.k; ++c) {
+                    ASSERT_EQ(qw.at(j, c).isOutlier(),
+                              w_only(c) || both(c))
+                        << what << " w(" << j << "," << c << ")";
+                }
+            }
+            for (size_t i = 0; i < m; ++i)
+                for (size_t j = 0; j < s.n; ++j)
+                    for (size_t c = 0; c < s.k; ++c)
+                        want_ot += qa.at(i, c).isOutlier() ||
+                            qw.at(j, c).isOutlier();
+
+            const Tensor ref = decodedMatmulTransB(qa, qw);
+            const double tol =
+                1e-9 * std::max(1.0, frobeniusNorm(ref)) + 1e-6;
+            const auto check = [&](const Tensor &got,
+                                   const IndexMatmulStats &st,
+                                   const char *path) {
+                EXPECT_LT(maxAbsDiff(got, ref), tol)
+                    << what << " " << path;
+                EXPECT_EQ(st.outlierPairs.load(), want_ot)
+                    << what << " " << path;
+                EXPECT_EQ(st.gaussianPairs.load(),
+                          static_cast<uint64_t>(m) * s.n * s.k - want_ot)
+                    << what << " " << path;
+            };
+            IndexMatmulStats fused_stats, unfused_stats, scalar_stats;
+            check(indexMatmulTransBFused(qa, qw, IndexEngine::Mag,
+                                         nullptr, nullptr, PlaneSet::Mag,
+                                         true, nullptr, &fused_stats)
+                      .dense,
+                  fused_stats, "fused");
+            check(indexMatmulTransBMag(qa, qw, &unfused_stats),
+                  unfused_stats, "unfused");
+            check(indexMatmulTransBMagScalar(qa, qw, &scalar_stats),
+                  scalar_stats, "unfused scalar");
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace mokey

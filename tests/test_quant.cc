@@ -1028,6 +1028,7 @@ TEST(QuantizedTensorPin, FootprintAccountsPlaneBytes)
     const size_t expected =
         n * (sizeof(uint8_t) + sizeof(int8_t) + sizeof(double)) +
         (q.rows() + 1) * sizeof(uint32_t) +
+        q.cols() * sizeof(uint32_t) + // per-column outlier counts
         f.outlierEntries * sizeof(CodePlanes::Outlier) +
         q.rows() * 2 * sizeof(double); // per-row fold sums (both sets)
     EXPECT_EQ(f.planeBytes, expected);
