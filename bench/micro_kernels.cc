@@ -308,8 +308,10 @@ seedEncodeToPlanes(const Tensor &t, const TensorDictionary &dict,
  * encode, code materialization, derivePlanes) by >= 3x single
  * threaded. Activation-shaped tensor (a BERT-base hidden GEMM input
  * slab) with a realistic outlier tail. GB/s counts the float source
- * read plus the 10 B/element plane writes; the seed row additionally
- * pays the 1 B/element code store + reload.
+ * read plus the plane writes: 1 + 1 + kMagElemBytes per element for
+ * the fused encoder, and the seed's own 10 B (its mag plane is the
+ * old 8 B double), which additionally pays the 1 B/element code store
+ * + reload.
  */
 void
 writeActEncodeReport(bench::BenchJson &json)
@@ -341,7 +343,7 @@ writeActEncodeReport(bench::BenchJson &json)
 
     const double n = static_cast<double>(kRows * kCols);
     const double seed_bytes = n * (4.0 + 2.0 * 1.0 + 10.0);
-    const double fused_bytes = n * (4.0 + 10.0);
+    const double fused_bytes = n * (4.0 + 2.0 + kMagElemBytes);
     json.add({"act_encode_seed", kRows, kCols, 0, seed_ns,
               seed_bytes / seed_ns, 0.0});
     json.add({"act_encode_fused", kRows, kCols, 0, fused_ns,
@@ -356,9 +358,10 @@ writeActEncodeReport(bench::BenchJson &json)
  * workloads and flush BENCH_micro_kernels.json. GB/s counts operand
  * reads plus result writes at their in-memory width: 4 B floats for
  * the float path, 1 B codes for the seed index path, and the planes
- * the two index engines actually stream — 8 B/element mag planes
- * for index_gemm_mag versus 2 B/element byte planes for
- * index_gemm_count (the counting engine's whole point).
+ * the two index engines actually stream — kMagElemBytes (4 B) per
+ * element mag planes for index_gemm_mag versus 2 B/element byte
+ * planes for index_gemm_count. The last two shapes are BERT-base's
+ * w1 and w2 sites at a 128-row prefill step.
  */
 void
 writeSpeedupReport()
@@ -370,7 +373,8 @@ writeSpeedupReport()
         size_t m, n, k;
     };
     for (const GemmShape shape :
-         {GemmShape{64, 64, 256}, GemmShape{128, 128, 768}}) {
+         {GemmShape{64, 64, 256}, GemmShape{128, 128, 768},
+          GemmShape{128, 3072, 768}, GemmShape{128, 768, 3072}}) {
         const size_t m = shape.m, n = shape.n, k = shape.k;
         Rng rng(31337 + m);
         ExpDictionary exp(1.179, -0.977, 8);
@@ -388,7 +392,7 @@ writeSpeedupReport()
             static_cast<double>(m * k + n * k) * 1.0 +
             static_cast<double>(m * n) * 4.0;
         const double mag_bytes =
-            static_cast<double>(m * k + n * k) * 8.0 +
+            static_cast<double>((m * k + n * k) * kMagElemBytes) +
             static_cast<double>(m * n) * 4.0;
         const double count_bytes =
             static_cast<double>(m * k + n * k) * 2.0 +

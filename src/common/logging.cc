@@ -30,6 +30,18 @@ panic(const char *fmt, ...)
 }
 
 void
+assertFailed(const char *cond, const char *fmt, ...)
+{
+    std::fprintf(stderr, "panic: assertion '%s' failed: ", cond);
+    va_list ap;
+    va_start(ap, fmt);
+    std::vfprintf(stderr, fmt, ap);
+    va_end(ap);
+    std::fprintf(stderr, "\n");
+    std::abort();
+}
+
+void
 fatal(const char *fmt, ...)
 {
     va_list ap;

@@ -24,6 +24,13 @@ namespace mokey
 /** Print a formatted message and exit(1); use for user errors. */
 [[noreturn]] void fatal(const char *fmt, ...);
 
+/**
+ * MOKEY_ASSERT's failure path: print the failed condition, then the
+ * formatted explanation, and abort(). The condition is passed as an
+ * argument, never spliced into the format, so a '%' in it is inert.
+ */
+[[noreturn]] void assertFailed(const char *cond, const char *fmt, ...);
+
 /** Print a formatted warning to stderr. */
 void warn(const char *fmt, ...);
 
@@ -37,7 +44,7 @@ void inform(const char *fmt, ...);
 #define MOKEY_ASSERT(cond, ...)                                          \
     do {                                                                 \
         if (!(cond))                                                     \
-            ::mokey::panic("assertion '%s' failed: " __VA_ARGS__, #cond);\
+            ::mokey::assertFailed(#cond, __VA_ARGS__);                   \
     } while (0)
 
 } // namespace mokey

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.hh"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MOKEY_SIMD_X86_DISPATCH 1
 #include <immintrin.h>
@@ -11,10 +13,11 @@
 namespace mokey
 {
 
-// Multi-versioned on x86-64 (resolved once per process via ifunc);
-// plain -O3 code elsewhere. The loop bodies below are written so the
-// compiler's vectorizer can pick the widest profitable vectors per
-// clone while the lane-to-accumulator mapping stays fixed.
+// The float-model dots and sumD are multi-versioned on x86-64
+// (resolved once per process via ifunc); plain -O3 code elsewhere.
+// The loop bodies below are written so the compiler's vectorizer
+// can pick the widest profitable vectors per clone while the
+// lane-to-accumulator mapping stays fixed.
 // Sanitizer builds get the plain code: ifunc resolvers run during
 // relocation, before the sanitizer runtime is initialized, and
 // crash the process pre-main (the TSan CI job hit exactly this).
@@ -31,61 +34,6 @@ namespace mokey
 // registers for this form, while an explicit pairwise tree makes it
 // scalarize the whole function (measured 3-4x slower). In-order
 // summation is still a fixed, deterministic FP order.
-
-MOKEY_SIMD_CLONES double
-dotDD(const double *x, const double *y, size_t n)
-{
-    double acc[16] = {};
-    size_t p = 0;
-    for (; p + 16 <= n; p += 16)
-        for (size_t l = 0; l < 16; ++l)
-            acc[l] += x[p + l] * y[p + l];
-    for (; p < n; ++p)
-        acc[p % 16] += x[p] * y[p];
-    double sum = 0.0;
-    for (size_t l = 0; l < 16; ++l)
-        sum += acc[l];
-    return sum;
-}
-
-// Four register-blocked copies of dotDD's loop, not a call per row:
-// each row keeps dotDD's exact lane mapping, tail and serial lane sum
-// (and, being in the same clone set, the same FMA contraction), so
-// the results match dotDD bit for bit.
-MOKEY_SIMD_CLONES void
-dotDD4(const double *const x[4], const double *y, size_t n, double r[4])
-{
-    const double *x0 = x[0], *x1 = x[1], *x2 = x[2], *x3 = x[3];
-    double a0[16] = {}, a1[16] = {}, a2[16] = {}, a3[16] = {};
-    size_t p = 0;
-    for (; p + 16 <= n; p += 16) {
-        for (size_t l = 0; l < 16; ++l) {
-            const double yv = y[p + l];
-            a0[l] += x0[p + l] * yv;
-            a1[l] += x1[p + l] * yv;
-            a2[l] += x2[p + l] * yv;
-            a3[l] += x3[p + l] * yv;
-        }
-    }
-    for (; p < n; ++p) {
-        const double yv = y[p];
-        a0[p % 16] += x0[p] * yv;
-        a1[p % 16] += x1[p] * yv;
-        a2[p % 16] += x2[p] * yv;
-        a3[p % 16] += x3[p] * yv;
-    }
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t l = 0; l < 16; ++l) {
-        s0 += a0[l];
-        s1 += a1[l];
-        s2 += a2[l];
-        s3 += a3[l];
-    }
-    r[0] = s0;
-    r[1] = s1;
-    r[2] = s2;
-    r[3] = s3;
-}
 
 MOKEY_SIMD_CLONES double
 sumD(const double *x, size_t n)
@@ -376,6 +324,219 @@ x86HistogramIsa()
 
 #endif // MOKEY_SIMD_X86_DISPATCH
 
+// ---- register-blocked mag-plane GEMM --------------------------------
+//
+// Every body below runs the per-output arithmetic stated in simd.hh:
+// 16 float lanes of single-rounding FMAs, restarted each kMagBlockK
+// elements and folded lane by lane into 16 double lanes, which one
+// fixed tree sums at the end. Only how many outputs share one pass
+// differs, and every output's lanes see the same FMA sequence in
+// every tile shape, so all tiles and tails agree bit for bit. A k
+// tail loads zeros into the unused lanes; fma(0, 0, acc) == acc.
+
+/** Register-tile body: a rows x w rows outputs over the whole k. */
+using MagTileFn = void (*)(const float *a, size_t lda, const float *w,
+                           size_t ldw, size_t k, double *dots,
+                           size_t ldd);
+
+/** Fixed-tree sum of one output's 16 double lanes: lane l + lane
+ * l + 8, then + 4, + 2, + 1 (short dependency chains, and the same
+ * order in every body). */
+inline double
+magLaneSum(const double *dl)
+{
+    double s[8];
+    for (size_t l = 0; l < 8; ++l)
+        s[l] = dl[l] + dl[l + 8];
+    for (size_t l = 0; l < 4; ++l)
+        s[l] += s[l + 4];
+    for (size_t l = 0; l < 2; ++l)
+        s[l] += s[l + 2];
+    return s[0] + s[1];
+}
+
+/** The contract written out, one output at a time. */
+void
+magDotBlockGeneric(const float *a, size_t lda, size_t rows,
+                   const float *w, size_t ldw, size_t cols, size_t k,
+                   double *dots, size_t ldd)
+{
+    for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+            const float *x = a + r * lda;
+            const float *y = w + c * ldw;
+            double dl[16] = {};
+            for (size_t kb = 0; kb < k; kb += kMagBlockK) {
+                const size_t kend = std::min(kb + kMagBlockK, k);
+                float acc[16] = {};
+                for (size_t p = kb; p < kend; ++p)
+                    acc[p % 16] = std::fma(x[p], y[p], acc[p % 16]);
+                for (size_t l = 0; l < 16; ++l)
+                    dl[l] += static_cast<double>(acc[l]);
+            }
+            dots[r * ldd + c] = magLaneSum(dl);
+        }
+    }
+}
+
+/**
+ * Walk a rows x cols block in register tiles of up to 4 x @p nr,
+ * row groups outer so a group's activation rows stay L1-resident
+ * across the weight rows. @p tiles[(mr - 1) * nr + (nc - 1)] is the
+ * mr x nc body.
+ */
+void
+magDotTiled(const MagTileFn *tiles, size_t nr, const float *a,
+            size_t lda, size_t rows, const float *w, size_t ldw,
+            size_t cols, size_t k, double *dots, size_t ldd)
+{
+    for (size_t r = 0; r < rows; r += 4) {
+        const size_t mr = std::min<size_t>(4, rows - r);
+        for (size_t c = 0; c < cols; c += nr) {
+            const size_t nc = std::min(nr, cols - c);
+            tiles[(mr - 1) * nr + (nc - 1)](a + r * lda, lda,
+                                            w + c * ldw, ldw, k,
+                                            dots + r * ldd + c, ldd);
+        }
+    }
+}
+
+#ifdef MOKEY_SIMD_X86_DISPATCH
+
+/**
+ * AVX-512 MR x NR tile: one zmm accumulator (the 16 lanes) per
+ * output, so a 4 x 4 tile holds 16 accumulators and each of its 8
+ * loads per 16 elements feeds four FMAs. The double lanes live in
+ * two zmm per output; those the register file cannot hold spill
+ * only outside the k loop.
+ */
+template <int MR, int NR>
+__attribute__((target("avx512f"))) void
+magTileAvx512(const float *a, size_t lda, const float *w, size_t ldw,
+              size_t k, double *dots, size_t ldd)
+{
+    __m512d dl[MR][NR][2];
+    for (int r = 0; r < MR; ++r)
+        for (int c = 0; c < NR; ++c)
+            dl[r][c][0] = dl[r][c][1] = _mm512_setzero_pd();
+    for (size_t kb = 0; kb < k; kb += kMagBlockK) {
+        const size_t kend = std::min(kb + kMagBlockK, k);
+        __m512 acc[MR][NR];
+        for (int r = 0; r < MR; ++r)
+            for (int c = 0; c < NR; ++c)
+                acc[r][c] = _mm512_setzero_ps();
+        for (size_t p = kb; p < kend; p += 16) {
+            // All 16 lanes, or the k tail's first kend - p.
+            const auto m = static_cast<__mmask16>(
+                kend - p >= 16 ? 0xffffu : (1u << (kend - p)) - 1u);
+            __m512 av[MR], wv[NR];
+            for (int r = 0; r < MR; ++r)
+                av[r] = _mm512_maskz_loadu_ps(m, a + r * lda + p);
+            for (int c = 0; c < NR; ++c)
+                wv[c] = _mm512_maskz_loadu_ps(m, w + c * ldw + p);
+            for (int r = 0; r < MR; ++r)
+                for (int c = 0; c < NR; ++c)
+                    acc[r][c] =
+                        _mm512_fmadd_ps(av[r], wv[c], acc[r][c]);
+        }
+        // Fold: lanes 0-7 and 8-15 widen to double (exact) and add
+        // into the double lanes. The all-ones zero-masking forms are
+        // the plain instructions; GCC 12 flags the plain intrinsics'
+        // undefined pass-through operand.
+        for (int r = 0; r < MR; ++r) {
+            for (int c = 0; c < NR; ++c) {
+                const __m512d x = _mm512_castps_pd(acc[r][c]);
+                const __m256 lo = _mm256_castpd_ps(
+                    _mm512_maskz_extractf64x4_pd(0xf, x, 0));
+                const __m256 hi = _mm256_castpd_ps(
+                    _mm512_maskz_extractf64x4_pd(0xf, x, 1));
+                dl[r][c][0] = _mm512_add_pd(
+                    dl[r][c][0], _mm512_maskz_cvtps_pd(0xff, lo));
+                dl[r][c][1] = _mm512_add_pd(
+                    dl[r][c][1], _mm512_maskz_cvtps_pd(0xff, hi));
+            }
+        }
+    }
+    for (int r = 0; r < MR; ++r) {
+        for (int c = 0; c < NR; ++c) {
+            alignas(64) double t[16];
+            _mm512_store_pd(t, dl[r][c][0]);
+            _mm512_store_pd(t + 8, dl[r][c][1]);
+            dots[r * ldd + c] = magLaneSum(t);
+        }
+    }
+}
+
+/**
+ * AVX2 MR x NR tile (NR <= 2: sixteen ymm registers hold 4 x 2
+ * accumulators plus the loads). A ymm holds half of the 16 logical
+ * lanes, so each K-block runs twice: lanes 0-7 read elements
+ * 16q + 0..7, lanes 8-15 read 16q + 8..15. Each lane still sees its
+ * own elements in order, so the arithmetic is the contract's.
+ */
+template <int MR, int NR>
+__attribute__((target("avx2,fma"))) void
+magTileAvx2(const float *a, size_t lda, const float *w, size_t ldw,
+            size_t k, double *dots, size_t ldd)
+{
+    double dl[MR][NR][16] = {};
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (size_t kb = 0; kb < k; kb += kMagBlockK) {
+        const size_t kend = std::min(kb + kMagBlockK, k);
+        for (size_t h = 0; h < 16; h += 8) {
+            __m256 acc[MR][NR];
+            for (int r = 0; r < MR; ++r)
+                for (int c = 0; c < NR; ++c)
+                    acc[r][c] = _mm256_setzero_ps();
+            for (size_t q = kb; q + h < kend; q += 16) {
+                // All 8 lanes of this half, or the k tail's share.
+                const int cnt =
+                    static_cast<int>(std::min<size_t>(kend - q - h, 8));
+                const __m256i m =
+                    _mm256_cmpgt_epi32(_mm256_set1_epi32(cnt), iota);
+                __m256 av[MR], wv[NR];
+                for (int r = 0; r < MR; ++r)
+                    av[r] = _mm256_maskload_ps(a + r * lda + q + h, m);
+                for (int c = 0; c < NR; ++c)
+                    wv[c] = _mm256_maskload_ps(w + c * ldw + q + h, m);
+                for (int r = 0; r < MR; ++r)
+                    for (int c = 0; c < NR; ++c)
+                        acc[r][c] =
+                            _mm256_fmadd_ps(av[r], wv[c], acc[r][c]);
+            }
+            // Fold this half's 8 lanes into their double lanes.
+            for (int r = 0; r < MR; ++r) {
+                for (int c = 0; c < NR; ++c) {
+                    alignas(32) float t[8];
+                    _mm256_store_ps(t, acc[r][c]);
+                    for (size_t l = 0; l < 8; ++l)
+                        dl[r][c][h + l] += static_cast<double>(t[l]);
+                }
+            }
+        }
+    }
+    for (int r = 0; r < MR; ++r)
+        for (int c = 0; c < NR; ++c)
+            dots[r * ldd + c] = magLaneSum(dl[r][c]);
+}
+
+const MagTileFn kAvx512Tiles[16] = {
+    magTileAvx512<1, 1>, magTileAvx512<1, 2>, magTileAvx512<1, 3>,
+    magTileAvx512<1, 4>, magTileAvx512<2, 1>, magTileAvx512<2, 2>,
+    magTileAvx512<2, 3>, magTileAvx512<2, 4>, magTileAvx512<3, 1>,
+    magTileAvx512<3, 2>, magTileAvx512<3, 3>, magTileAvx512<3, 4>,
+    magTileAvx512<4, 1>, magTileAvx512<4, 2>, magTileAvx512<4, 3>,
+    magTileAvx512<4, 4>,
+};
+
+const MagTileFn kAvx2Tiles[8] = {
+    magTileAvx2<1, 1>, magTileAvx2<1, 2>, magTileAvx2<2, 1>,
+    magTileAvx2<2, 2>, magTileAvx2<3, 1>, magTileAvx2<3, 2>,
+    magTileAvx2<4, 1>, magTileAvx2<4, 2>,
+};
+
+#endif // MOKEY_SIMD_X86_DISPATCH
+
 // ---- fused comparator-ladder encode ---------------------------------
 //
 // Every per-element decision is an exact double comparison and the
@@ -396,7 +557,7 @@ x86HistogramIsa()
 inline size_t
 encodeLadderOne(float v_f, const double *mags, size_t h, double mean,
                 double scale, double cut, uint8_t *idx, int8_t *theta,
-                double *mag, size_t c)
+                float *mag, size_t c)
 {
     const double v = v_f;
     const double d = v - mean;
@@ -412,14 +573,15 @@ encodeLadderOne(float v_f, const double *mags, size_t h, double mean,
     if (theta)
         theta[c] = is_ot ? 0 : (neg ? -1 : 1);
     if (mag)
-        mag[c] = is_ot ? 0.0 : (neg ? -mags[k] : mags[k]);
+        mag[c] = is_ot ? 0.0f
+                       : static_cast<float>(neg ? -mags[k] : mags[k]);
     return is_ot ? 1 : 0;
 }
 
 MOKEY_SIMD_CLONES size_t
 encodeLadderGeneric(const float *src, size_t n, const double *mags,
                     size_t h, double mean, double scale, double cut,
-                    uint8_t *idx, int8_t *theta, double *mag)
+                    uint8_t *idx, int8_t *theta, float *mag)
 {
     size_t outliers = 0;
     for (size_t c = 0; c < n; ++c)
@@ -433,7 +595,7 @@ encodeLadderGeneric(const float *src, size_t n, const double *mags,
 __attribute__((target("avx2"))) size_t
 encodeLadderAvx2(const float *src, size_t n, const double *mags,
                  size_t h, double mean, double scale, double cut,
-                 uint8_t *idx, int8_t *theta, double *mag)
+                 uint8_t *idx, int8_t *theta, float *mag)
 {
     const __m256d vmean = _mm256_set1_pd(mean);
     const __m256d vscale = _mm256_set1_pd(scale);
@@ -475,7 +637,7 @@ encodeLadderAvx2(const float *src, size_t n, const double *mags,
             __m256d mg = _mm256_i64gather_pd(mags, k, 8);
             mg = _mm256_xor_pd(mg, _mm256_and_pd(negm, signmask));
             mg = _mm256_andnot_pd(otm, mg);
-            _mm256_storeu_pd(mag + p, mg);
+            _mm_storeu_ps(mag + p, _mm256_cvtpd_ps(mg));
         }
         if (idx || theta) {
             const __m256i ki = _mm256_andnot_si256(otm64, k);
@@ -506,7 +668,7 @@ encodeLadderAvx2(const float *src, size_t n, const double *mags,
 __attribute__((target("avx512f"))) size_t
 encodeLadderAvx512(const float *src, size_t n, const double *mags,
                    size_t h, double mean, double scale, double cut,
-                   uint8_t *idx, int8_t *theta, double *mag)
+                   uint8_t *idx, int8_t *theta, float *mag)
 {
     const __m512d vmean = _mm512_set1_pd(mean);
     const __m512d vscale = _mm512_set1_pd(scale);
@@ -540,7 +702,7 @@ encodeLadderAvx512(const float *src, size_t n, const double *mags,
             mg = _mm512_mask_sub_pd(mg, negm, _mm512_setzero_pd(),
                                     mg);
             mg = _mm512_maskz_mov_pd(keep, mg);
-            _mm512_storeu_pd(mag + p, mg);
+            _mm256_storeu_ps(mag + p, _mm512_maskz_cvtpd_ps(keep, mg));
         }
         if (idx)
             _mm_storel_epi64(
@@ -598,7 +760,7 @@ signedIndexHistogram(const uint8_t *idx, const int8_t *th, size_t n,
 size_t
 encodeLadder(const float *src, size_t n, const double *mags, size_t h,
              double mean, double scale, double cut, uint8_t *idx,
-             int8_t *theta, double *mag)
+             int8_t *theta, float *mag)
 {
 #ifdef MOKEY_SIMD_X86_DISPATCH
     // The AVX-512 body only needs the F subset, so reusing the BW
@@ -613,6 +775,71 @@ encodeLadder(const float *src, size_t n, const double *mags, size_t h,
 #endif
     return encodeLadderGeneric(src, n, mags, h, mean, scale, cut,
                                idx, theta, mag);
+}
+
+SimdIsa
+magDotIsa()
+{
+#ifdef MOKEY_SIMD_X86_DISPATCH
+    static const SimdIsa isa = [] {
+        if (__builtin_cpu_supports("avx512f"))
+            return SimdIsa::Avx512;
+        if (__builtin_cpu_supports("avx2") &&
+            __builtin_cpu_supports("fma"))
+            return SimdIsa::Avx2;
+        return SimdIsa::Generic;
+    }();
+    return isa;
+#else
+    return SimdIsa::Generic;
+#endif
+}
+
+const char *
+simdIsaName(SimdIsa isa)
+{
+    switch (isa) {
+    case SimdIsa::Generic:
+        return "generic";
+    case SimdIsa::Avx2:
+        return "avx2";
+    case SimdIsa::Avx512:
+        return "avx512";
+    }
+    return "?";
+}
+
+void
+magDotBlockOn(SimdIsa isa, const float *a, size_t lda, size_t rows,
+              const float *w, size_t ldw, size_t cols, size_t k,
+              double *dots, size_t ldd)
+{
+    MOKEY_ASSERT(static_cast<int>(isa) <=
+                     static_cast<int>(magDotIsa()),
+                 "mag kernel body %s is not available on this host",
+                 simdIsaName(isa));
+    switch (isa) {
+#ifdef MOKEY_SIMD_X86_DISPATCH
+    case SimdIsa::Avx512:
+        return magDotTiled(kAvx512Tiles, 4, a, lda, rows, w, ldw, cols,
+                           k, dots, ldd);
+    case SimdIsa::Avx2:
+        return magDotTiled(kAvx2Tiles, 2, a, lda, rows, w, ldw, cols, k,
+                           dots, ldd);
+#endif
+    default:
+        return magDotBlockGeneric(a, lda, rows, w, ldw, cols, k, dots,
+                                  ldd);
+    }
+}
+
+void
+magDotBlock(const float *a, size_t lda, size_t rows, const float *w,
+            size_t ldw, size_t cols, size_t k, double *dots,
+            size_t ldd)
+{
+    magDotBlockOn(magDotIsa(), a, lda, rows, w, ldw, cols, k, dots,
+                  ldd);
 }
 
 } // namespace mokey

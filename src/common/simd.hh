@@ -2,16 +2,15 @@
  * @file
  * Vectorized dot-product primitives shared by the hot kernels.
  *
- * Each function carries GCC target_clones, so the binary ships
- * generic, AVX2+FMA, and AVX-512 variants and the dynamic linker
- * picks one per process at startup. Within a process the chosen
- * variant — and therefore the exact FP rounding — is fixed, which is
- * what lets the GEMM engines promise bit-identical results across
- * thread counts and tilings.
+ * The float-model dots (dotFD, dotFD2) and sumD carry GCC
+ * target_clones, so the binary ships generic, AVX2+FMA, and AVX-512
+ * variants and the dynamic linker picks one per process at startup.
+ * Within a process the chosen variant — and therefore the exact FP
+ * rounding — is fixed. The index-engine kernels (the mag GEMM block,
+ * the histograms, the ladder encode) dispatch at run time instead.
  *
  * Lane structure (and thus arithmetic order) is written out
- * explicitly: 16 independent accumulators reduced in a fixed tree.
- * The result is a pure function of the inputs and the selected ISA.
+ * explicitly: 16 independent accumulators reduced in a fixed order.
  */
 
 #ifndef MOKEY_COMMON_SIMD_HH
@@ -23,18 +22,68 @@
 namespace mokey
 {
 
-/** Sum of x[i]*y[i] over doubles, 16-lane fixed-tree reduction. */
-double dotDD(const double *x, const double *y, size_t n);
+// ---- register-blocked mag-plane GEMM (mag engine) ------------------
+//
+// The mag engine's whole dot product: float mag-plane rows in, one
+// double per output element out. The arithmetic of every output is a
+// fixed function of k alone, the same in every tile shape, tail and
+// ISA body:
+//
+//  - 16 logical lanes: element p feeds lane p mod 16 with one
+//    single-rounding float FMA, acc[l] = fma(a[p], w[p], acc[l]);
+//  - the float lanes restart at every multiple of kMagBlockK and, at
+//    the end of each K-block, fold in block order into 16 double
+//    lanes (dl[l] += (double)acc[l]);
+//  - the result sums the 16 double lanes in one fixed tree (lane l
+//    with lane l + 8, then l + 4, l + 2, l + 1).
+//
+// So an output is bit-identical whether it is computed in a 4 x 4
+// register tile, in a row or column tail, or alone, and on the
+// AVX-512, AVX2 and generic bodies alike (the generic body calls the
+// correctly-rounded std::fma). Dispatch is at run time through
+// __builtin_cpu_supports, not ifunc, so sanitizer builds run the
+// intrinsic bodies too.
+
+/** Float accumulation length before each fold into double. */
+constexpr size_t kMagBlockK = 256;
 
 /**
- * Four dot products sharing one y stream: r[i] = x[i] . y. Each r[i]
- * is bit-identical to dotDD(x[i], y, n) — the same 16-lane
- * accumulator mapping, tail and in-order lane sum per row — while
- * every y element is loaded once for all four rows. The GEMM engine
- * uses it to read a weight row once per 4 activation rows.
+ * Register-blocked mag-plane GEMM block:
+ *
+ *   dots[r * ldd + c] = dot(a + r * lda, w + c * ldw) over k
+ *
+ * for r < rows, c < cols, with the fixed per-element arithmetic
+ * above. The AVX-512 body computes 4 activation rows x 4 weight rows
+ * per pass with 16 vector accumulators: each loaded vector feeds four
+ * FMAs (8 loads per 16 FMAs). Both operands are read in place; the
+ * k tail is loaded under a mask, never past a row's end.
  */
-void dotDD4(const double *const x[4], const double *y, size_t n,
-            double r[4]);
+void magDotBlock(const float *a, size_t lda, size_t rows,
+                 const float *w, size_t ldw, size_t cols, size_t k,
+                 double *dots, size_t ldd);
+
+/** The instruction-set bodies magDotBlock() can dispatch to. */
+enum class SimdIsa
+{
+    Generic,
+    Avx2,   ///< AVX2 + FMA
+    Avx512, ///< AVX-512F
+};
+
+/** The body magDotBlock() runs on this host (fixed per process). */
+SimdIsa magDotIsa();
+
+/** Human-readable ISA name ("generic" / "avx2" / "avx512"). */
+const char *simdIsaName(SimdIsa isa);
+
+/**
+ * magDotBlock() on one named body, for tests that hold every body to
+ * the same arithmetic. @p isa must be supported by this build and
+ * host (every body <= magDotIsa() is).
+ */
+void magDotBlockOn(SimdIsa isa, const float *a, size_t lda,
+                   size_t rows, const float *w, size_t ldw,
+                   size_t cols, size_t k, double *dots, size_t ldd);
 
 /**
  * Streaming sum of @p n doubles, 16-lane fixed-tree reduction. One
@@ -130,12 +179,14 @@ void signedIndexHistogram(const uint8_t *idx, const int8_t *th,
  *              the dictionary has no outlier table
  * @param idx   uint8 index plane row, or nullptr to skip
  * @param theta int8 +1/-1 sign plane row, or nullptr to skip
- * @param mag   double signed-magnitude plane row, or nullptr to skip
+ * @param mag   float signed-magnitude plane row (each entry the
+ *              double ladder magnitude rounded to float), or
+ *              nullptr to skip
  * @return number of outlier elements in the row
  */
 size_t encodeLadder(const float *src, size_t n, const double *mags,
                     size_t h, double mean, double scale, double cut,
-                    uint8_t *idx, int8_t *theta, double *mag);
+                    uint8_t *idx, int8_t *theta, float *mag);
 
 } // namespace mokey
 

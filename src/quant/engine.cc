@@ -192,7 +192,7 @@ autoEngineChoice(size_t aRows, size_t wRows, size_t k,
     if (budget == 0)
         budget = autoMagBudgetBytes();
     const size_t mag_stream_bytes =
-        (aRows + wRows) * k * sizeof(double);
+        (aRows + wRows) * k * kMagElemBytes;
     if (mag_stream_bytes > budget)
         return IndexEngine::Count;
     if (weight.resident && weight.magResident)
@@ -219,7 +219,7 @@ weightPlaneSet(IndexEngine engine, size_t wRows, size_t k)
     // activation-side stream of similar K inside the budget;
     // otherwise serving GEMMs will route to counting anyway, so the
     // byte planes are the right residents.
-    return wRows * k * sizeof(double) * 2 <= autoMagBudgetBytes()
+    return wRows * k * kMagElemBytes * 2 <= autoMagBudgetBytes()
         ? PlaneSet::Mag
         : PlaneSet::Bytes;
 }

@@ -373,9 +373,9 @@ namespace
 {
 
 /**
- * One engine output element, given its dot product
- * @p gdot = dotDD(ma, mw, k) over two mag-plane rows (or the matching
- * row of a dotDD4 block, bit-identical to it).
+ * One engine output element, given its dot product @p gdot over two
+ * mag-plane rows (simd.hh magDotBlock, whose per-element arithmetic
+ * is the same in every tile shape).
  *
  * Every mag-plane slot decodes as mag * scale + mean — a Gaussian
  * slot holds th (a^i + b), an outlier slot its centroid in Gaussian
@@ -388,13 +388,9 @@ namespace
  * pair — the OPP's one real multiply — is the same product of two
  * slots, so no sidecar is walked and no correction is needed. The
  * CRF histogram model itself lives on in indexDot(), which the
- * property tests hold this engine to.
- *
- * noinline on purpose: a single instantiation guarantees identical
- * FP contraction for every caller, which the bit-parity guarantee
- * (scalar == tiled == 4-row blocked == any thread count) depends on.
+ * property tests hold this engine to. Its one caller is magTile().
  */
-__attribute__((noinline)) double
+inline double
 engineDot(const GemmConstants &ctx, double gdot, double row_term,
           double col_term)
 {
@@ -424,18 +420,56 @@ addPairStats(const CodePlanes &pa, const CodePlanes &pw, size_t k,
     stats->add(m * n * k - ot_pairs, ot_pairs);
 }
 
-/** Weight-tile width: ~8*kTileN*k mag-plane bytes stay L2-resident. */
+/** Weight-tile width: kTileN*k*kMagElemBytes mag-plane bytes (96 KiB
+ * at k = 768, 384 KiB at k = 3072) stay L2-resident. */
 constexpr size_t kTileN = 32;
+
+/**
+ * Mag-engine outputs for rows [lo, hi) x columns [jb, jend) (at most
+ * kTileN columns), written to out[(i - lo) * ldo + j]: the tile
+ * kernel of every mag path, fused and unfused. Each 4-row group runs
+ * one register-blocked magDotBlock over the weight tile, so a weight
+ * row is loaded once per 4 activation rows; every dot is the same
+ * function of its two rows whatever the group or tail.
+ *
+ * noinline on purpose: one instantiation gives engineDot the same FP
+ * contraction for every caller, which the bit-parity guarantee
+ * (scalar == fused == either split == any thread count) depends on.
+ */
+__attribute__((noinline)) void
+magTile(const GemmConstants &ctx, const CodePlanes &pa,
+        const CodePlanes &pw, size_t lo, size_t hi, size_t jb,
+        size_t jend, const double *row_term, const double *col_term,
+        float *out, size_t ldo)
+{
+    const size_t k = pa.cols;
+    double dots[4 * kTileN];
+    for (size_t i = lo; i < hi; i += 4) {
+        const size_t mr = std::min<size_t>(4, hi - i);
+        magDotBlock(pa.magRow(i), k, mr, pw.magRow(jb), k, jend - jb,
+                    k, dots, kTileN);
+        for (size_t r = 0; r < mr; ++r) {
+            float *orow = out + (i + r - lo) * ldo;
+            for (size_t j = jb; j < jend; ++j)
+                orow[j] = static_cast<float>(
+                    engineDot(ctx, dots[r * kTileN + (j - jb)],
+                              row_term[i + r], col_term[j]));
+        }
+    }
+}
 
 /**
  * Smallest streamed weight plane that takes the weight-stationary
  * split: half of one core's 2 MiB L2 on the Xeon it was measured on.
  * A smaller plane is re-read by every thread from cache, not memory,
  * so the split saves no DRAM traffic and only adds its second
- * fan-out. Forced onto the reduced model's planes (at most 295 KiB),
- * the split cost 7% of mokey-bench ragged-http and 11% of short-http
- * throughput (median of 10 alternating pairs each), while the
- * BERT-base planes (4.5 MiB and up) gained on both BERT workloads.
+ * fan-out. Forced onto the reduced model's planes (at most 295 KiB
+ * when mag elements were 8 B), the split cost 7% of mokey-bench
+ * ragged-http and 11% of short-http throughput (median of 10
+ * alternating pairs each), while the BERT-base planes (4.5 MiB and
+ * up then) gained on both BERT workloads. At kMagElemBytes = 4 the
+ * same cut still separates them: 147 KiB at most against 2.25 MiB
+ * and up.
  */
 constexpr size_t kWeightStationaryMinBytes = size_t{1} << 20;
 
@@ -495,17 +529,9 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
     const auto band = [&](size_t lo, size_t hi) {
         // Tile over the weight rows so a kTileN-row plane block is
         // reused by every activation row of the band.
-        for (size_t jb = 0; jb < n; jb += kTileN) {
-            const size_t jhi = std::min(jb + kTileN, n);
-            for (size_t i = lo; i < hi; ++i) {
-                const double *ma = pa.magRow(i);
-                float *orow = out.row(i);
-                for (size_t j = jb; j < jhi; ++j)
-                    orow[j] = static_cast<float>(
-                        engineDot(ctx, dotDD(ma, pw.magRow(j), k),
-                                  row_term[i], col_term[j]));
-            }
-        }
+        for (size_t jb = 0; jb < n; jb += kTileN)
+            magTile(ctx, pa, pw, lo, hi, jb, std::min(jb + kTileN, n),
+                    row_term.data(), col_term.data(), out.row(lo), n);
     };
 
     if (tiled_parallel)
@@ -535,7 +561,7 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
  * counted, with the Gaussian partner decoded from its byte planes
  * (theta * mags[idx] * s + m).
  *
- * noinline for the same reason as engineDot: one instantiation =
+ * noinline for the same reason as magTile: one instantiation =
  * one FP contraction order for every caller.
  */
 __attribute__((noinline)) double
@@ -602,7 +628,7 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
         cachedGemmConstants(a.dictionary(), wt.dictionary(), k);
     const GemmConstants &ctx = cc;
 
-    // Byte planes only: 2 B per element resident, never the 8 B mag
+    // Byte planes only: 2 B per element resident, never the 4 B mag
     // plane. Owning pointers guard against concurrent upgrades.
     const auto pa_sp = a.planesShared(PlaneSet::Bytes);
     const auto pw_sp = wt.planesShared(PlaneSet::Bytes);
@@ -637,8 +663,8 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
     Tensor out(m, n);
     const auto band = [&](size_t lo, size_t hi) {
         // Same weight-row tiling as the mag engine; a kTileN-row
-        // byte-plane block is 2*kTileN*k bytes — 4x more rows stay
-        // cache-resident than with mag planes.
+        // byte-plane block is 2*kTileN*k bytes — half the mag
+        // engine's.
         for (size_t jb = 0; jb < n; jb += kTileN) {
             const size_t jhi = std::min(jb + kTileN, n);
             for (size_t i = lo; i < hi; ++i) {
@@ -753,7 +779,7 @@ bool
 weightStationarySplit(size_t n, size_t k, IndexEngine engine)
 {
     const size_t elem_bytes = engine == IndexEngine::Mag
-        ? sizeof(double)
+        ? kMagElemBytes
         : sizeof(uint8_t) + sizeof(int8_t);
     return n * k * elem_bytes >= kWeightStationaryMinBytes;
 }
@@ -841,48 +867,27 @@ indexMatmulTransBFused(const QuantizedTensor &a,
 
     // Output rows [lo, hi) x columns [jb, jend), written to
     // rows[(i - lo) * n + j]: the one tile kernel of both splits
-    // below. Identical noinline dot kernels to the layer-at-a-time
-    // path; only the source of the row/column terms differs, and
-    // those are bit-equal. The mag engine takes 4 activation rows per
-    // weight-row load (dotDD4, bit-identical to dotDD per row).
+    // below. Identical dot kernels to the layer-at-a-time path
+    // (magTile / noinline countingDot); only the source of the
+    // row/column terms differs, and those are bit-equal.
     const auto tile = [&](size_t lo, size_t hi, size_t jb, size_t jend,
                           float *rows) {
-        size_t i = lo;
         if (mag_eng) {
-            for (; i + 4 <= hi; i += 4) {
-                const double *ma[4];
-                for (size_t r = 0; r < 4; ++r)
-                    ma[r] = pa.magRow(i + r);
-                for (size_t j = jb; j < jend; ++j) {
-                    double dots[4];
-                    dotDD4(ma, pw.magRow(j), k, dots);
-                    for (size_t r = 0; r < 4; ++r)
-                        rows[(i + r - lo) * n + j] =
-                            static_cast<float>(engineDot(
-                                ctx, dots[r], row_term[i + r],
-                                col_term[j]));
-                }
-            }
+            magTile(ctx, pa, pw, lo, hi, jb, jend, row_term.data(),
+                    col_term.data(), rows, n);
+            return;
         }
-        for (; i < hi; ++i) {
+        for (size_t i = lo; i < hi; ++i) {
             float *orow = rows + (i - lo) * n;
-            if (mag_eng) {
-                const double *ma = pa.magRow(i);
-                for (size_t j = jb; j < jend; ++j)
-                    orow[j] = static_cast<float>(
-                        engineDot(ctx, dotDD(ma, pw.magRow(j), k),
-                                  row_term[i], col_term[j]));
-            } else {
-                const uint8_t *ia = pa.indexRow(i);
-                const int8_t *ta = pa.thetaRow(i);
-                const CodePlanes::Outlier *oa = pa.outlierRow(i);
-                const size_t na = pa.outlierCount(i);
-                for (size_t j = jb; j < jend; ++j) {
-                    orow[j] = static_cast<float>(countingDot(
-                        ctx, ia, ta, oa, na, pw.indexRow(j),
-                        pw.thetaRow(j), pw.outlierRow(j),
-                        pw.outlierCount(j), row_term[i], col_term[j]));
-                }
+            const uint8_t *ia = pa.indexRow(i);
+            const int8_t *ta = pa.thetaRow(i);
+            const CodePlanes::Outlier *oa = pa.outlierRow(i);
+            const size_t na = pa.outlierCount(i);
+            for (size_t j = jb; j < jend; ++j) {
+                orow[j] = static_cast<float>(countingDot(
+                    ctx, ia, ta, oa, na, pw.indexRow(j),
+                    pw.thetaRow(j), pw.outlierRow(j),
+                    pw.outlierCount(j), row_term[i], col_term[j]));
             }
         }
     };
@@ -897,7 +902,7 @@ indexMatmulTransBFused(const QuantizedTensor &a,
                 continue;
             uint8_t *ix = obytes ? op->index.data() + i * n : nullptr;
             int8_t *th = obytes ? op->theta.data() + i * n : nullptr;
-            double *mg = omag ? op->mag.data() + i * n : nullptr;
+            MagElem *mg = omag ? op->mag.data() + i * n : nullptr;
             lad.encodeRow(vals, n, ix, th, mg, row_ot[i]);
             if (omag)
                 op->magRowSum[i] = magPlaneRowSum(mg, n);

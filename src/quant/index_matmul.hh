@@ -201,11 +201,12 @@ double indexDot(const QCode *a, const TensorDictionary &dict_a,
  * setIndexEngine() choice, or, under MOKEY_ENGINE=auto, a per-GEMM
  * decision from K and the weight-side plane residency:
  *
- *  - indexMatmulTransBMag(): streams the dense double magnitude
- *    planes branch-free (GPE collapses to one vectorized dot);
+ *  - indexMatmulTransBMag(): streams the dense float magnitude
+ *    planes branch-free (GPE collapses to one register-blocked
+ *    dot, simd.hh magDotBlock);
  *  - indexMatmulTransBCounting(): streams the 2-byte index/theta
  *    planes and SIMD-accumulates per-pair signed histograms — the
- *    paper's counting dataflow, 4x fewer streamed bytes/element.
+ *    paper's counting dataflow, 2x fewer streamed bytes/element.
  *
  * The counting engine merge-iterates the outlier sidecars (OPP); the
  * mag planes carry the outliers. Both tile the output for cache
@@ -236,7 +237,7 @@ Tensor indexMatmulTransBMag(const QuantizedTensor &a,
  * element, exactly the paper's multiplier-free dataflow. The
  * histogram phase is exact integer arithmetic, so it is identical
  * on every ISA; only the fixed-order collapse is FP. Streams 2 B
- * per element where the mag engine streams 8 B, and only requires
+ * per element where the mag engine streams 4 B, and only requires
  * the byte planes (PlaneSet::Bytes) to be materialized.
  */
 Tensor indexMatmulTransBCounting(const QuantizedTensor &a,
@@ -320,11 +321,14 @@ struct FusedGemmOut
  * How indexMatmulTransBFused() splits an (m x k) * (n x k)^T GEMM
  * across the pool: true for the weight-stationary split (chunks own
  * output columns), false for row bands (chunks own activation rows).
- * Weight-stationary when the streamed weight plane (8 B per element
- * for Mag, 2 B for Count) is at least 1 MiB: such a plane is read
- * from memory once per call instead of once per band. Smaller planes
- * stay cache-resident, so every thread re-reading them is cheap and
- * row bands save the split's second fan-out. A pure function of its
+ * Weight-stationary when the streamed weight plane (kMagElemBytes =
+ * 4 B per element for Mag, 2 B for Count) is at least 1 MiB: such a
+ * plane is read from memory once per call instead of once per band.
+ * Every BERT-base weight site (2.25 MiB and up under Mag) splits;
+ * the reduced model's planes (147 KiB at most) keep row bands.
+ * Smaller planes stay cache-resident, so every thread re-reading
+ * them is cheap and row bands save the split's second fan-out. A
+ * pure function of its
  * arguments; a 1-thread pool runs either split inline with the same
  * per-element work.
  */
@@ -336,7 +340,7 @@ bool weightStationarySplit(size_t n, size_t k, IndexEngine engine);
  * activation quantization chained into the same walk.
  *
  * The walk runs the exact tiled engine loops (identical noinline
- * engineDot/countingDot calls, reading the planes' precomputed
+ * mag-tile/countingDot calls, reading the planes' precomputed
  * per-row fold sums instead of re-folding the SoA2 + b*PoM2 terms
  * per call), then applies @p epilogue to each complete output row
  * and encodes it straight into the output planes with the same
@@ -354,8 +358,9 @@ bool weightStationarySplit(size_t n, size_t k, IndexEngine engine);
  *    walks every weight tile for them and finishes its rows while
  *    they are cache-warm.
  *
- * Both run one tile kernel, in which the mag engine reads each
- * weight row once per 4 activation rows (dotDD4).
+ * Both run one tile kernel, in which the mag engine computes 4
+ * activation rows x 4 weight rows per register-blocked pass
+ * (simd.hh magDotBlock).
  *
  * Every output value, encoded plane byte, outlier entry and stats
  * count is bit-identical to the unfused sequence

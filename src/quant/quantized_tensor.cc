@@ -11,11 +11,11 @@ namespace mokey
 {
 
 double
-magPlaneRowSum(const double *mg, size_t n)
+magPlaneRowSum(const MagElem *mg, size_t n)
 {
     double sum = 0.0;
     for (size_t c = 0; c < n; ++c)
-        sum += mg[c];
+        sum += static_cast<double>(mg[c]);
     return sum;
 }
 
@@ -93,13 +93,20 @@ sealOutliers(CodePlanes &p,
                              r, o.col);
             if (p.mag.empty())
                 continue;
+            // The slot is (value - mean) / scale rounded to float:
+            // off by at most 2^-24 of its magnitude, which scale
+            // carries to 2^-24 |value - mean|; the double decode adds
+            // a few ulps of |value| + |mean| on top.
             const double back =
-                p.magRow(r)[o.col] * dict.scale() + dict.mean();
+                static_cast<double>(p.magRow(r)[o.col]) *
+                    dict.scale() +
+                dict.mean();
             MOKEY_ASSERT(std::abs(back - o.value) <=
-                             1e-12 * (std::abs(o.value) +
-                                      std::abs(dict.mean())),
-                         "outlier mag slot (%zu, %u) decodes to %g, "
-                         "not its centroid %g", r, o.col, back,
+                             0x1p-24 * std::abs(o.value - dict.mean()) +
+                                 1e-12 * (std::abs(o.value) +
+                                          std::abs(dict.mean())),
+                         "outlier mag slot (%zu, %u) decodes to %.17g, "
+                         "not its centroid %.17g", r, o.col, back,
                          o.value);
         }
     }
@@ -191,6 +198,16 @@ QuantizedTensor::materializeCodes() const
     MOKEY_ASSERT(p != nullptr,
                  "planes-first tensor lost its planes view");
     const bool from_bytes = planeSetCovers(p->sets, PlaneSet::Bytes);
+    std::vector<MagElem> table;
+    if (!from_bytes) {
+        const ExpDictionary &exp = dict.exp();
+        for (size_t i = 0; i < exp.indexCount(); ++i) {
+            table.push_back(static_cast<MagElem>(exp.magnitude(i)));
+            MOKEY_ASSERT(i == 0 || table[i - 1] < table[i],
+                         "dictionary magnitudes %zu and %zu coincide "
+                         "at float precision", i - 1, i);
+        }
+    }
     std::vector<QCode> out(nRows * nCols, QCode{0});
     for (size_t r = 0; r < nRows; ++r) {
         QCode *dst = out.data() + r * nCols;
@@ -200,13 +217,13 @@ QuantizedTensor::materializeCodes() const
             for (size_t c = 0; c < nCols; ++c)
                 dst[c] = QCode::gaussian(th[c] < 0, ix[c]);
         } else {
-            // Invert the mag plane: Gaussian entries are exact
-            // copies of +/- dictionary magnitudes, so the
-            // nearest-index lookup recovers the original index
-            // bit-exactly (the table is strictly increasing,
-            // distance zero wins). Outlier slots, found from the
+            // Invert the mag plane against the float-rounded
+            // magnitude table: Gaussian entries are +/- dictionary
+            // magnitudes rounded to float, and the rounded table is
+            // strictly increasing, so an exact match recovers the
+            // original index. Outlier slots, found from the
             // column-sorted sidecar, are filled below.
-            const double *mg = p->magRow(r);
+            const MagElem *mg = p->magRow(r);
             const CodePlanes::Outlier *ot = p->outlierRow(r);
             const size_t n_ot = p->outlierCount(r);
             for (size_t c = 0, x = 0; c < nCols; ++c) {
@@ -214,13 +231,15 @@ QuantizedTensor::materializeCodes() const
                     ++x;
                     continue;
                 }
-                const bool neg = mg[c] < 0.0;
-                const size_t i =
-                    dict.exp().nearestIndex(std::abs(mg[c]));
-                MOKEY_ASSERT(dict.exp().magnitude(i) ==
-                                 std::abs(mg[c]),
+                const bool neg = mg[c] < 0.0f;
+                const MagElem v = std::abs(mg[c]);
+                const size_t i = static_cast<size_t>(
+                    std::lower_bound(table.begin(), table.end(), v) -
+                    table.begin());
+                MOKEY_ASSERT(i < table.size() && table[i] == v,
                              "mag plane entry (%zu, %zu) is not a "
-                             "dictionary magnitude", r, c);
+                             "float-rounded dictionary magnitude",
+                             r, c);
                 dst[c] = QCode::gaussian(neg, static_cast<uint8_t>(i));
             }
         }
@@ -290,7 +309,8 @@ QuantizedTensor::planesShared(PlaneSet need) const
                                   : nullptr;
         int8_t *th = want_bytes ? p->theta.data() + r * nCols
                                 : nullptr;
-        double *mg = want_mag ? p->mag.data() + r * nCols : nullptr;
+        MagElem *mg =
+            want_mag ? p->mag.data() + r * nCols : nullptr;
         for (size_t c = 0; c < nCols; ++c) {
             const QCode q = src[c];
             if (q.isOutlier()) {
@@ -299,7 +319,8 @@ QuantizedTensor::planesShared(PlaneSet need) const
                     th[c] = 0;
                 }
                 if (want_mag)
-                    mg[c] = dict.outlierMagValue(q.outlierIndex());
+                    mg[c] = static_cast<MagElem>(
+                        dict.outlierMagValue(q.outlierIndex()));
                 p->outliers.push_back(
                     {static_cast<uint32_t>(c), q.outlierIndex(),
                      dict.outlierValue(q.outlierIndex())});
@@ -309,8 +330,8 @@ QuantizedTensor::planesShared(PlaneSet need) const
                     th[c] = static_cast<int8_t>(q.theta());
                 }
                 if (want_mag)
-                    mg[c] =
-                        q.theta() * dict.exp().magnitude(q.index());
+                    mg[c] = static_cast<MagElem>(
+                        q.theta() * dict.exp().magnitude(q.index()));
             }
         }
         p->rowStart[r + 1] =
@@ -372,7 +393,7 @@ QuantizedTensor::planesFootprint() const
     const auto bytes_of = [](const CodePlanes &p) {
         return p.index.size() * sizeof(uint8_t) +
             p.theta.size() * sizeof(int8_t) +
-            p.mag.size() * sizeof(double) +
+            p.mag.size() * kMagElemBytes +
             (p.rowStart.size() + p.outlierColCount.size()) *
                 sizeof(uint32_t) +
             p.outliers.size() * sizeof(CodePlanes::Outlier) +

@@ -57,18 +57,27 @@ struct QCode
     bool operator==(const QCode &o) const { return raw == o.raw; }
 };
 
+/** Element type of the mag plane. */
+using MagElem = float;
+
+/**
+ * Bytes per mag-plane element: the one constant every consumer that
+ * sizes, splits or accounts a mag plane reads.
+ */
+constexpr size_t kMagElemBytes = sizeof(MagElem);
+
 /**
  * Which dense planes of a CodePlanes view are materialized. The two
  * engines stream different encodings of the same codes: the counting
  * engine reads the 2-byte (index, theta) byte planes, the magnitude
- * engine reads the 8-byte mag plane. Deriving only what the active
- * engine touches is the difference between 2 B and 10 B of resident
- * plane memory per element (see planesFootprint()).
+ * engine reads the kMagElemBytes (4 B) mag plane. Deriving only what
+ * the active engine touches is the difference between 2 B and 6 B of
+ * resident plane memory per element (see planesFootprint()).
  */
 enum class PlaneSet : unsigned
 {
     Bytes = 1u,       ///< uint8 index + int8 theta planes
-    Mag = 2u,         ///< double signed-magnitude plane
+    Mag = 2u,         ///< float signed-magnitude plane
     All = Bytes | Mag ///< everything (tests, mixed-engine use)
 };
 
@@ -116,13 +125,14 @@ struct CodePlanes
     /**
      * Signed unscaled magnitude plane: theta * (a^index + b) for a
      * Gaussian code, (centroid - mean) / scale for an outlier
-     * (TensorDictionary::outlierMagValue). Every slot decodes as
-     * mag * scale + mean, so the mag engine's whole dot product,
-     * GPE histogram algebra and OPP alike, collapses to
-     * s_a*s_w * dot(magA, magW) plus the row, column and constant
-     * terms (see index_matmul.cc).
+     * (TensorDictionary::outlierMagValue), each rounded to float.
+     * Every slot decodes as mag * scale + mean, so the mag engine's
+     * whole dot product, GPE histogram algebra and OPP alike,
+     * collapses to s_a*s_w * dot(magA, magW) plus the row, column
+     * and constant terms (see index_matmul.cc). The rounding moves a
+     * decoded value by at most 2^-24 of |value - mean|.
      */
-    std::vector<double> mag;
+    std::vector<MagElem> mag;
 
     /**
      * One sidecar entry: an outlier's column, its outlier-dictionary
@@ -147,9 +157,9 @@ struct CodePlanes
      * SoA2 + b*PoM2 sums of the reconstruction, in each engine's own
      * arithmetic order so consumers read instead of recompute:
      *
-     *  - magRowSum[r]  = serial in-order sum of the mag-plane row
-     *    (present iff the mag plane is), exactly the mag engine's
-     *    per-row fold;
+     *  - magRowSum[r]  = serial in-order double sum of the float
+     *    mag-plane row (present iff the mag plane is), exactly the
+     *    mag engine's per-row fold;
      *  - byteRowSum[r] = signed-index-histogram collapse of the byte
      *    planes against the dictionary magnitudes (present iff the
      *    byte planes are), exactly the counting engine's fold.
@@ -179,7 +189,7 @@ struct CodePlanes
     {
         return theta.data() + r * cols;
     }
-    const double *magRow(size_t r) const
+    const MagElem *magRow(size_t r) const
     {
         return mag.data() + r * cols;
     }
@@ -206,13 +216,14 @@ void stitchOutliers(
     const TensorDictionary &dict);
 
 /**
- * The mag engine's pairing-independent row fold: serial in-order sum
- * of one mag-plane row, outlier slots included. Kept as
+ * The mag engine's pairing-independent row fold: serial in-order
+ * double sum of one float mag-plane row, outlier slots included.
+ * Kept as
  * a plain serial loop on purpose — the precomputed CodePlanes row
  * sums and the per-call GEMM folds must share one arithmetic order
  * for the fused and layer-at-a-time paths to stay bit-identical.
  */
-double magPlaneRowSum(const double *mg, size_t n);
+double magPlaneRowSum(const MagElem *mg, size_t n);
 
 /**
  * The counting engine's pairing-independent row fold: signed
@@ -234,7 +245,7 @@ struct PlanesFootprint
     bool pinned = false;   ///< pin flag set on this tensor
     bool resident = false; ///< planes currently materialized
     bool bytesResident = false; ///< index/theta byte planes built
-    bool magResident = false;   ///< double mag plane built
+    bool magResident = false;   ///< float mag plane built
     size_t codeBytes = 0;  ///< expanded 5 b codes (1 B each)
     size_t planeBytes = 0; ///< resident planes + sidecars
     /**
@@ -399,7 +410,7 @@ class QuantizedTensor
      * cached until the codes are next mutated (any non-const
      * accessor drops the cache). Only the planes in @p need are
      * guaranteed materialized: an engine that streams byte planes
-     * never pays for (or keeps) the 8 B/element mag plane. A request
+     * never pays for (or keeps) the 4 B/element mag plane. A request
      * for planes the cache lacks rebuilds it as the union of old and
      * new sets, so repeated mixed-engine use converges instead of
      * thrashing. Concurrent const callers are safe (the build is

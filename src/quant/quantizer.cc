@@ -39,7 +39,7 @@ LadderSpec::from(const TensorDictionary &dict)
 
 size_t
 LadderSpec::encodeRow(const float *src, size_t n, uint8_t *ix,
-                      int8_t *th, double *mg,
+                      int8_t *th, MagElem *mg,
                       std::vector<CodePlanes::Outlier> &ot) const
 {
     const size_t n_ot =
@@ -53,7 +53,7 @@ LadderSpec::encodeRow(const float *src, size_t n, uint8_t *ix,
     ot.reserve(ot.size() + n_ot);
     size_t found = 0;
     for (size_t c = 0; c < n && found < n_ot; ++c) {
-        const bool is_ot = th ? th[c] == 0 : mg[c] == 0.0;
+        const bool is_ot = th ? th[c] == 0 : mg[c] == 0.0f;
         if (!is_ot)
             continue;
         const double v = src[c];
@@ -62,7 +62,7 @@ LadderSpec::encodeRow(const float *src, size_t n, uint8_t *ix,
                       static_cast<uint8_t>(oi),
                       dict->outlierValue(oi)});
         if (mg)
-            mg[c] = dict->outlierMagValue(oi);
+            mg[c] = static_cast<MagElem>(dict->outlierMagValue(oi));
         ++found;
     }
     return n_ot;
@@ -145,7 +145,7 @@ Quantizer::encodeToPlanes(const Tensor &t,
                 wbytes ? p->index.data() + r * cols : nullptr;
             int8_t *th =
                 wbytes ? p->theta.data() + r * cols : nullptr;
-            double *mg = wmag ? p->mag.data() + r * cols : nullptr;
+            MagElem *mg = wmag ? p->mag.data() + r * cols : nullptr;
             lad.encodeRow(src, cols, ix, th, mg, row_ot[r]);
             // Fold the pairing-independent row terms (SoA2 + b*PoM2)
             // into the same walk, in each engine's own arithmetic

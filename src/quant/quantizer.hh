@@ -59,7 +59,7 @@ struct LadderSpec
      * count.
      */
     size_t encodeRow(const float *src, size_t n, uint8_t *ix,
-                     int8_t *th, double *mg,
+                     int8_t *th, MagElem *mg,
                      std::vector<CodePlanes::Outlier> &ot) const;
 };
 
@@ -103,7 +103,7 @@ class Quantizer
      * derivePlanes walk. The comparator ladder runs vectorized
      * (simd.hh encodeLadder) and only the planes in @p sets are
      * materialized, so an activation headed for the counting engine
-     * costs 2 B/element of writes instead of 1 B codes + 10 B
+     * costs 2 B/element of writes instead of 1 B codes + 6 B
      * derived planes. The result is a planes-first QuantizedTensor
      * (fromPlanes): bit-identical planes to
      * encode(t, dict).planes(sets), with the 5 b codes themselves

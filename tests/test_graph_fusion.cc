@@ -167,6 +167,45 @@ TEST_F(GraphFusionFixture, FusedForwardBatchBitIdentical)
     }
 }
 
+TEST_F(GraphFusionFixture, BatchRowsInvariantToStackOffset)
+{
+    // A request's rows must not depend on where a fused batch stacks
+    // them. The mag kernel computes 4 activation rows per register
+    // pass, so a request behind 0-4 rows of other requests starts at
+    // every position of a 4-row block (and its tail moves with it);
+    // each stacking must reproduce the request's own forward() bit
+    // for bit, at 1, 2 and 4 threads.
+    const Tensor target = model.makeInput(7, 321);
+    const EngineGuard engine_guard;
+    const ThreadCountGuard thread_guard;
+    const GraphFuseGuard graph_guard;
+    setIndexEngine(IndexEngine::Mag);
+    setGraphFuse(true);
+    for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
+        setThreadCount(t);
+        const Tensor alone =
+            pipeline.forward(target, QuantMode::WeightsAndActivations);
+        for (size_t offset = 0; offset <= 4; ++offset) {
+            // Requests ahead of the target fill exactly `offset` rows
+            // (a 1-row request, then the rest); one request follows.
+            std::vector<Tensor> inputs;
+            if (offset > 0)
+                inputs.push_back(model.makeInput(1, 900 + offset));
+            if (offset > 1)
+                inputs.push_back(model.makeInput(offset - 1, 910 + offset));
+            const size_t at = inputs.size();
+            inputs.push_back(target);
+            inputs.push_back(model.makeInput(5, 950));
+            const auto outs = pipeline.forwardBatch(
+                inputs, QuantMode::WeightsAndActivations);
+            ASSERT_EQ(outs.size(), inputs.size());
+            expectBitIdentical(alone, outs[at],
+                               "threads=" + std::to_string(t) +
+                                   " offset=" + std::to_string(offset));
+        }
+    }
+}
+
 TEST_F(GraphFusionFixture, EnginePinsExposePerSiteProfile)
 {
     // One entry per (layer, weight site), undecided until

@@ -10,7 +10,10 @@
  */
 
 #include <cmath>
+#include <iostream>
+#include <string>
 #include <thread>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
@@ -35,6 +38,145 @@ struct Shape
     double mean_w, std_w;
     double tail_frac;
 };
+
+/** gamma_n = n u / (1 - n u), the n-operation rounding bound. */
+double
+gammaN(double n, double u)
+{
+    return n * u / (1.0 - n * u);
+}
+
+/**
+ * The decode-then-multiply oracle of a mag-engine GEMM, with a
+ * per-element error bound derived from the engine's arithmetic
+ * (simd.hh magDotBlock + index_matmul.cc engineDot). Notation for
+ * output (i, j): A_p, W_p the decoded operands (decodeAt), with
+ * dictionary means mA, mW and scales sA, sW; a_p = (A_p - mA) / sA
+ * and w_p likewise, the mag-plane values before they are rounded to
+ * float; u = 2^-24 and ud = 2^-53 the float and double unit
+ * roundoffs; nb = ceil(k / 256) the K-blocks.
+ *
+ *  E1 operand rounding. A plane stores float(a_p), off by at most
+ *     u |a_p|, so its decode A^_p = sA float(a_p) + mA is off by at
+ *     most u |A_p - mA|. The engine's row and column fold terms sum
+ *     the same rounded planes, so it computes sum A^_p W^_p (up to
+ *     E2-E3), and
+ *       |sum A^W^ - sum AW| <= sum |A^ - A| |W^| + |A| |W^ - W|
+ *         <= u sum (|A - mA| |W| + |A| |W - mW|)
+ *            + u^2 sum |A - mA| |W - mW|.
+ *  E2 float lanes. Each of the 16 lanes of each K-block accumulates
+ *     at most 256 / 16 = 16 products with single-rounding FMAs from
+ *     0: error <= gamma_16(u) times the sum of its |a^ w^| terms.
+ *     Over all lanes and blocks, scaled by c0 = sA sW (c0 |a w| =
+ *     |A - mA| |W - mW|, and |a^ w^| <= (1 + u)^2 |a w|):
+ *       E2 = gamma_16(u) (1 + u)^2 sum |A - mA| |W - mW|.
+ *  E3 double arithmetic: the fold of the 16 nb lane partials (block
+ *     order per lane, then the 16-lane tree), the two k-term fold
+ *     sums of the row and column terms, engineDot's four operations,
+ *     and the few ulps by which decodeAt and mag * scale + mean
+ *     round differently — at most
+ *     2k + 16 nb + 16 double operations over terms bounded by
+ *     (1 + gamma_16(u)) (1 + u)^2 (|A - mA| + |mA|)(|W - mW| + |mW|):
+ *       E3 = gamma_{2k+16nb+16}(ud) (1 + gamma_16(u)) (1 + u)^2
+ *            sum (|A - mA| + |mA|)(|W - mW| + |mW|).
+ *  E4 the oracle's own serial double sum: gamma_k(ud) sum |A| |W|.
+ *  E5 the final float cast of the engine output: u times its
+ *     magnitude, <= u (|ref| + E1 + E2 + E3 + E4).
+ *
+ * bound = E1 + E2 + E3 + E4 + E5 per element. No slack factor: a
+ * result outside it is an arithmetic change, not noise.
+ */
+struct MagOracle
+{
+    size_t n = 0;
+    std::vector<double> ref;   ///< sum A_p W_p, serial double
+    std::vector<double> bound; ///< the mag engine's bound vs ref
+};
+
+MagOracle
+magOracle(const QuantizedTensor &a, const QuantizedTensor &wt)
+{
+    const size_t m = a.rows(), n = wt.rows(), k = a.cols();
+    const double u = 0x1p-24, ud = 0x1p-53;
+    const double mA = a.dictionary().mean(), mW = wt.dictionary().mean();
+    std::vector<double> da(m * k), dw(n * k);
+    for (size_t i = 0; i < m; ++i)
+        for (size_t p = 0; p < k; ++p)
+            da[i * k + p] = a.decodeAt(i, p);
+    for (size_t j = 0; j < n; ++j)
+        for (size_t p = 0; p < k; ++p)
+            dw[j * k + p] = wt.decodeAt(j, p);
+    const double nb = static_cast<double>((k + kMagBlockK - 1) / kMagBlockK);
+    const double g16 = gammaN(16, u);
+    const double g3 =
+        gammaN(2.0 * static_cast<double>(k) + 16.0 * nb + 16.0, ud) *
+        (1.0 + g16) * (1.0 + u) * (1.0 + u);
+    const double g4 = gammaN(static_cast<double>(k), ud);
+    MagOracle o;
+    o.n = n;
+    o.ref.resize(m * n);
+    o.bound.resize(m * n);
+    for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+            double ref = 0.0, s1 = 0.0, s11 = 0.0, s3 = 0.0, s4 = 0.0;
+            for (size_t p = 0; p < k; ++p) {
+                const double A = da[i * k + p], W = dw[j * k + p];
+                const double ca = std::abs(A - mA), cw = std::abs(W - mW);
+                ref += A * W;
+                s1 += ca * std::abs(W) + std::abs(A) * cw;
+                s11 += ca * cw;
+                s3 += (ca + std::abs(mA)) * (cw + std::abs(mW));
+                s4 += std::abs(A) * std::abs(W);
+            }
+            const double e1 = u * s1 + u * u * s11;
+            const double e2 = g16 * (1.0 + u) * (1.0 + u) * s11;
+            const double e3 = g3 * s3;
+            const double e4 = g4 * s4;
+            const double e5 = u * (std::abs(ref) + e1 + e2 + e3 + e4);
+            o.ref[i * n + j] = ref;
+            o.bound[i * n + j] = e1 + e2 + e3 + e4 + e5;
+        }
+    }
+    return o;
+}
+
+/** Every element of a mag-engine output lies within its bound. */
+void
+expectWithinMagBound(const Tensor &got, const MagOracle &o,
+                     const std::string &what)
+{
+    ASSERT_EQ(got.size(), o.ref.size()) << what;
+    for (size_t e = 0; e < o.ref.size(); ++e)
+        ASSERT_LE(std::abs(static_cast<double>(got.raw()[e]) - o.ref[e]),
+                  o.bound[e])
+            << what << " elem=(" << e / o.n << ", " << e % o.n
+            << ") ref=" << o.ref[e];
+}
+
+/**
+ * A mag-engine output against another engine's output @p other,
+ * which is held to the oracle within @p other_tol plus its own float
+ * cast: by the triangle inequality the two outputs then differ by at
+ * most the mag bound plus that tolerance.
+ */
+void
+expectNearMagBound(const Tensor &mag, const Tensor &other,
+                   const MagOracle &o, double other_tol,
+                   const std::string &what)
+{
+    ASSERT_EQ(mag.size(), o.ref.size()) << what;
+    ASSERT_EQ(other.size(), o.ref.size()) << what;
+    for (size_t e = 0; e < o.ref.size(); ++e) {
+        const double x = other.raw()[e];
+        const double tol = other_tol + 0x1p-24 * std::abs(x);
+        ASSERT_LE(std::abs(x - o.ref[e]), tol)
+            << what << " other elem=(" << e / o.n << ", " << e % o.n
+            << ")";
+        ASSERT_LE(std::abs(static_cast<double>(mag.raw()[e]) - x),
+                  o.bound[e] + tol)
+            << what << " elem=(" << e / o.n << ", " << e % o.n << ")";
+    }
+}
 
 class IndexMatmulProperty : public ::testing::TestWithParam<Shape>
 {
@@ -72,12 +214,8 @@ TEST_P(IndexMatmulProperty, MatchesDecodedReferenceExactly)
 
     IndexMatmulStats stats;
     const Tensor fast = indexMatmulTransB(a, wt, &stats);
-    const Tensor ref = decodedMatmulTransB(a, wt);
-
-    // Tolerance scales with the magnitude of the accumulation.
-    const double tol =
-        1e-9 * std::max(1.0, frobeniusNorm(ref)) + 1e-6;
-    EXPECT_LT(maxAbsDiff(fast, ref), tol);
+    // Per-element bound derived from the mag engine's arithmetic.
+    expectWithinMagBound(fast, magOracle(a, wt), "engine vs oracle");
     EXPECT_EQ(stats.gaussianPairs + stats.outlierPairs,
               static_cast<uint64_t>(s.m) * s.n * s.k);
 }
@@ -167,9 +305,12 @@ TEST_P(EngineParity, TracksSeedReferenceAlgorithm)
     const Tensor ref = indexMatmulTransBReference(a, wt, &ref_stats);
     const Tensor eng = indexMatmulTransB(a, wt, &eng_stats);
 
-    const double tol =
+    // The seed's double CRF algebra stays within 1e-9 of the oracle;
+    // the engine within its derived float bound.
+    const double seed_tol =
         1e-9 * std::max(1.0, frobeniusNorm(ref)) + 1e-6;
-    EXPECT_LT(maxAbsDiff(eng, ref), tol);
+    expectNearMagBound(eng, ref, magOracle(a, wt), seed_tol,
+                       "engine vs seed");
     // The engine routes exactly the same pairs to GPE vs OPP as the
     // seed per-element branch did.
     EXPECT_EQ(eng_stats.gaussianPairs, ref_stats.gaussianPairs);
@@ -351,9 +492,12 @@ TEST_P(EngineParity, CountingRoutesPairsLikeMagEngine)
 
     EXPECT_EQ(count_stats.gaussianPairs, mag_stats.gaussianPairs);
     EXPECT_EQ(count_stats.outlierPairs, mag_stats.outlierPairs);
-    const double tol =
-        1e-9 * std::max(1.0, frobeniusNorm(mag)) + 1e-6;
-    EXPECT_LT(maxAbsDiff(count, mag), tol);
+    // Counting keeps double arithmetic (1e-9 of the oracle, as in
+    // CountingMatchesDecodedReference); mag its derived float bound.
+    const double count_tol =
+        1e-9 * std::max(1.0, frobeniusNorm(count)) + 1e-6;
+    expectNearMagBound(mag, count, magOracle(a, wt), count_tol,
+                       "mag vs count");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -400,7 +544,7 @@ TEST(EngineSelector, DispatchesBothEntryPoints)
 
 TEST(EngineSelector, CountingStreamsOnlyBytePlanes)
 {
-    // The counting engine must not materialize the 8 B/element mag
+    // The counting engine must not materialize the 4 B/element mag
     // plane — byte-traffic is its reason to exist.
     ExpDictionary exp(1.179, -0.977, 8);
     Quantizer quantizer(exp);
@@ -447,11 +591,11 @@ TEST(AutoEngine, DecisionTable)
     // DRAM-bound K: the streamed mag working set exceeds the budget
     // even though the mag plane is warm -> counting.
     const size_t huge_k =
-        kAutoMagBudgetBytes / (2 * 64 * sizeof(double)) + 1;
+        kAutoMagBudgetBytes / (2 * 64 * kMagElemBytes) + 1;
     EXPECT_EQ(autoEngineChoice(64, 64, huge_k, mag_warm),
               IndexEngine::Count);
     // Exactly at the budget counts as resident.
-    const size_t fit_k = kAutoMagBudgetBytes / (2 * 64 * 8);
+    const size_t fit_k = kAutoMagBudgetBytes / (2 * 64 * kMagElemBytes);
     EXPECT_EQ(autoEngineChoice(64, 64, fit_k, mag_warm),
               IndexEngine::Mag);
 
@@ -463,7 +607,8 @@ TEST(AutoEngine, DecisionTable)
               PlaneSet::Bytes);
     EXPECT_EQ(weightPlaneSet(IndexEngine::Auto, 64, 64),
               PlaneSet::Mag);
-    const size_t big_n = kAutoMagBudgetBytes / (2 * 64 * 8) + 1;
+    const size_t big_n =
+        kAutoMagBudgetBytes / (2 * 64 * kMagElemBytes) + 1;
     EXPECT_EQ(weightPlaneSet(IndexEngine::Auto, big_n, 64),
               PlaneSet::Bytes);
 
@@ -916,32 +1061,108 @@ TEST(GemmConstantsCache, EvictionKeepsResultsExact)
     }
 }
 
-TEST(BlockedDot, BitIdenticalToFourDotDD)
+/** Rows of float operands for the mag kernel tests: gaussian
+ * values with zeros at random slots (sparse rows, outlier-free
+ * planes). */
+std::vector<float>
+kernelRows(Rng &rng, size_t rows, size_t k, double mean, double std)
 {
-    // dotDD4 shares each y load across four rows; every row must keep
-    // dotDD's lane mapping, tail and lane sum exactly. Zeros at random
-    // slots stand in for the outlier positions of the mag planes.
+    std::vector<float> v(rows * k);
+    for (float &x : v)
+        x = static_cast<float>(rng.gaussian(mean, std));
+    for (size_t z = 0; z < k / 10 + 1; ++z)
+        v[rng.uniformInt(v.size())] = 0.0f;
+    return v;
+}
+
+const size_t kKernelKs[] = {1, 15, 16, 17, 255, 256, 257, 768, 3071};
+
+TEST(MagDotBlock, EveryTileAndTailBitIdenticalToOneByOne)
+{
+    // The kernel's contract (simd.hh): an output's arithmetic is a
+    // function of k alone. Every element of a 4 x 4 register tile
+    // and of every row and column tail must equal the same dot
+    // computed as a 1 x 1 block, on and off the 16-lane and
+    // 256-element block grids.
+    constexpr size_t kMax = 9;
     Rng rng(4242);
-    for (const size_t n : {size_t{1}, size_t{15}, size_t{16},
-                           size_t{17}, size_t{768}, size_t{3071}}) {
-        std::vector<std::vector<double>> x(4, std::vector<double>(n));
-        std::vector<double> y(n);
-        for (size_t p = 0; p < n; ++p) {
-            y[p] = rng.gaussian(0.0, 1.5);
-            for (auto &row : x)
-                row[p] = rng.gaussian(0.2, 2.0);
+    for (const size_t k : kKernelKs) {
+        const auto a = kernelRows(rng, kMax, k, 0.2, 2.0);
+        const auto w = kernelRows(rng, kMax, k, 0.0, 1.5);
+        double one[kMax][kMax];
+        for (size_t i = 0; i < kMax; ++i)
+            for (size_t j = 0; j < kMax; ++j)
+                magDotBlock(a.data() + i * k, k, 1, w.data() + j * k, k,
+                            1, k, &one[i][j], 1);
+        for (size_t rows = 1; rows <= kMax; ++rows) {
+            for (size_t cols = 1; cols <= kMax; ++cols) {
+                std::vector<double> dots(rows * cols);
+                magDotBlock(a.data(), k, rows, w.data(), k, cols, k,
+                            dots.data(), cols);
+                for (size_t i = 0; i < rows; ++i)
+                    for (size_t j = 0; j < cols; ++j)
+                        ASSERT_EQ(dots[i * cols + j], one[i][j])
+                            << "k=" << k << " block " << rows << "x"
+                            << cols << " elem (" << i << "," << j
+                            << ")";
+            }
         }
-        for (size_t z = 0; z < n / 10 + 1; ++z) {
-            y[rng.uniformInt(n)] = 0.0;
-            x[rng.uniformInt(4)][rng.uniformInt(n)] = 0.0;
+    }
+}
+
+TEST(MagDotBlock, EveryIsaBodyMatchesOracle)
+{
+    // Each body this host can run, called directly: bit-identical to
+    // the dispatched body (all follow one arithmetic, and the generic
+    // body's std::fma rounds once like the vector FMAs), and within
+    // the float-accumulation bound of an exact-product double oracle.
+    // Each lane of each 256-block sums at most 16 FMAs from 0
+    // (gamma_16 in float), and the lane partials, <= (1 + gamma_16)
+    // times their terms, fold in double; the oracle's own serial
+    // double sum adds gamma_k. So
+    //   |dot - ref| <= (gamma_16(u) + 2 gamma_{k+16}(ud)
+    //                   (1 + gamma_16(u))) sum |a_p w_p|.
+    constexpr size_t kRows = 9, kCols = 7;
+    const double u = 0x1p-24, ud = 0x1p-53;
+    std::cout << "mag kernel dispatches to "
+              << simdIsaName(magDotIsa()) << "\n";
+    Rng rng(977);
+    for (const size_t k : kKernelKs) {
+        const auto a = kernelRows(rng, kRows, k, 0.2, 2.0);
+        const auto w = kernelRows(rng, kCols, k, 0.0, 1.5);
+        std::vector<double> want(kRows * kCols);
+        magDotBlock(a.data(), k, kRows, w.data(), k, kCols, k,
+                    want.data(), kCols);
+        const double g = gammaN(16, u) +
+            2.0 * gammaN(static_cast<double>(k) + 16.0, ud) *
+                (1.0 + gammaN(16, u));
+        for (const SimdIsa isa :
+             {SimdIsa::Generic, SimdIsa::Avx2, SimdIsa::Avx512}) {
+            if (static_cast<int>(isa) > static_cast<int>(magDotIsa()))
+                continue;
+            std::vector<double> got(kRows * kCols);
+            magDotBlockOn(isa, a.data(), k, kRows, w.data(), k, kCols,
+                          k, got.data(), kCols);
+            for (size_t i = 0; i < kRows; ++i) {
+                for (size_t j = 0; j < kCols; ++j) {
+                    const std::string at = std::string(simdIsaName(isa)) +
+                        " k=" + std::to_string(k) + " (" +
+                        std::to_string(i) + "," + std::to_string(j) + ")";
+                    double ref = 0.0, mass = 0.0;
+                    for (size_t p = 0; p < k; ++p) {
+                        // float x float is exact in double.
+                        const double t =
+                            static_cast<double>(a[i * k + p]) *
+                            w[j * k + p];
+                        ref += t;
+                        mass += std::abs(t);
+                    }
+                    const double d = got[i * kCols + j];
+                    ASSERT_EQ(d, want[i * kCols + j]) << at;
+                    ASSERT_LE(std::abs(d - ref), g * mass) << at;
+                }
+            }
         }
-        const double *xs[4] = {x[0].data(), x[1].data(), x[2].data(),
-                               x[3].data()};
-        double r[4];
-        dotDD4(xs, y.data(), n, r);
-        for (size_t i = 0; i < 4; ++i)
-            ASSERT_EQ(r[i], dotDD(xs[i], y.data(), n))
-                << "n=" << n << " row=" << i;
     }
 }
 
@@ -1140,7 +1361,10 @@ TEST(MagOutlierFold, MatchesDecodedOracleAtForcedOutlierColumns)
         size_t n, k;
         bool weightStationary;
     };
-    for (const NK s : {NK{40, 200, false}, NK{768, 256, true}}) {
+    // 768 x 384 is the smallest of these planes at or above the 1 MiB
+    // weight-stationary cut-off at 4 B per mag element.
+    for (const NK s : {NK{40, 200, false}, NK{768, 384, true},
+                       NK{40, 520, false}}) {
         ASSERT_EQ(weightStationarySplit(s.n, s.k, IndexEngine::Mag),
                   s.weightStationary);
         const size_t m = 6;
@@ -1200,14 +1424,12 @@ TEST(MagOutlierFold, MatchesDecodedOracleAtForcedOutlierColumns)
                         want_ot += qa.at(i, c).isOutlier() ||
                             qw.at(j, c).isOutlier();
 
-            const Tensor ref = decodedMatmulTransB(qa, qw);
-            const double tol =
-                1e-9 * std::max(1.0, frobeniusNorm(ref)) + 1e-6;
+            const MagOracle oracle = magOracle(qa, qw);
             const auto check = [&](const Tensor &got,
                                    const IndexMatmulStats &st,
                                    const char *path) {
-                EXPECT_LT(maxAbsDiff(got, ref), tol)
-                    << what << " " << path;
+                expectWithinMagBound(got, oracle,
+                                     what + " " + path);
                 EXPECT_EQ(st.outlierPairs.load(), want_ot)
                     << what << " " << path;
                 EXPECT_EQ(st.gaussianPairs.load(),
