@@ -358,10 +358,12 @@ writeActEncodeReport(bench::BenchJson &json)
  * workloads and flush BENCH_micro_kernels.json. GB/s counts operand
  * reads plus result writes at their in-memory width: 4 B floats for
  * the float path, 1 B codes for the seed index path, and the planes
- * the two index engines actually stream — kMagElemBytes (4 B) per
- * element mag planes for index_gemm_mag versus 2 B/element byte
- * planes for index_gemm_count. The last two shapes are BERT-base's
- * w1 and w2 sites at a 128-row prefill step.
+ * the two index engines actually stream — kMagElemBytes (2 B) per
+ * element int16 grid planes for index_gemm_mag, 2 B/element byte
+ * planes for index_gemm_count. After the two small shapes come
+ * BERT-base's three weight-site shapes (n, k) = (768, 768) for
+ * wq/wk/wv/wo, (3072, 768) for w1 and (768, 3072) for w2, each at a
+ * 4-row decode step and a 128-row prefill step.
  */
 void
 writeSpeedupReport()
@@ -374,6 +376,8 @@ writeSpeedupReport()
     };
     for (const GemmShape shape :
          {GemmShape{64, 64, 256}, GemmShape{128, 128, 768},
+          GemmShape{4, 768, 768}, GemmShape{4, 3072, 768},
+          GemmShape{4, 768, 3072}, GemmShape{128, 768, 768},
           GemmShape{128, 3072, 768}, GemmShape{128, 768, 3072}}) {
         const size_t m = shape.m, n = shape.n, k = shape.k;
         Rng rng(31337 + m);

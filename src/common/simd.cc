@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.hh"
 
@@ -324,57 +325,34 @@ x86HistogramIsa()
 
 #endif // MOKEY_SIMD_X86_DISPATCH
 
-// ---- register-blocked mag-plane GEMM --------------------------------
+// ---- exact int16 grid GEMM ------------------------------------------
 //
-// Every body below runs the per-output arithmetic stated in simd.hh:
-// 16 float lanes of single-rounding FMAs, restarted each kMagBlockK
-// elements and folded lane by lane into 16 double lanes, which one
-// fixed tree sums at the end. Only how many outputs share one pass
-// differs, and every output's lanes see the same FMA sequence in
-// every tile shape, so all tiles and tails agree bit for bit. A k
-// tail loads zeros into the unused lanes; fma(0, 0, acc) == acc.
+// Every body below computes exact integer dots (simd.hh). The vector
+// bodies accumulate int32 lanes within K-blocks of kBlock elements,
+// then sum each block's lanes and add that into an int64. Vector
+// adds wrap mod 2^32, and the block's true sum fits in int32
+// (magKBlock), so the wrapped lane sum equals it exactly. A k tail
+// loads zeros into the unused lanes, which add nothing.
 
 /** Register-tile body: a rows x w rows outputs over the whole k. */
-using MagTileFn = void (*)(const float *a, size_t lda, const float *w,
-                           size_t ldw, size_t k, double *dots,
-                           size_t ldd);
+using MagTileFn = void (*)(const int16_t *a, size_t lda,
+                           const int16_t *w, size_t ldw, size_t k,
+                           size_t kBlock, int64_t *dots, size_t ldd);
 
-/** Fixed-tree sum of one output's 16 double lanes: lane l + lane
- * l + 8, then + 4, + 2, + 1 (short dependency chains, and the same
- * order in every body). */
-inline double
-magLaneSum(const double *dl)
-{
-    double s[8];
-    for (size_t l = 0; l < 8; ++l)
-        s[l] = dl[l] + dl[l + 8];
-    for (size_t l = 0; l < 4; ++l)
-        s[l] += s[l + 4];
-    for (size_t l = 0; l < 2; ++l)
-        s[l] += s[l + 2];
-    return s[0] + s[1];
-}
-
-/** The contract written out, one output at a time. */
+/** One output at a time, in int64 from the first product on. */
 void
-magDotBlockGeneric(const float *a, size_t lda, size_t rows,
-                   const float *w, size_t ldw, size_t cols, size_t k,
-                   double *dots, size_t ldd)
+magDotBlockGeneric(const int16_t *a, size_t lda, size_t rows,
+                   const int16_t *w, size_t ldw, size_t cols, size_t k,
+                   int64_t *dots, size_t ldd)
 {
     for (size_t r = 0; r < rows; ++r) {
         for (size_t c = 0; c < cols; ++c) {
-            const float *x = a + r * lda;
-            const float *y = w + c * ldw;
-            double dl[16] = {};
-            for (size_t kb = 0; kb < k; kb += kMagBlockK) {
-                const size_t kend = std::min(kb + kMagBlockK, k);
-                float acc[16] = {};
-                for (size_t p = kb; p < kend; ++p)
-                    acc[p % 16] = std::fma(x[p], y[p], acc[p % 16]);
-                for (size_t l = 0; l < 16; ++l)
-                    dl[l] += static_cast<double>(acc[l]);
-            }
-            dots[r * ldd + c] = magLaneSum(dl);
+            const int16_t *x = a + r * lda;
+            const int16_t *y = w + c * ldw;
+            int64_t sum = 0;
+            for (size_t p = 0; p < k; ++p)
+                sum += static_cast<int32_t>(x[p]) * y[p];
+            dots[r * ldd + c] = sum;
         }
     }
 }
@@ -386,16 +364,17 @@ magDotBlockGeneric(const float *a, size_t lda, size_t rows,
  * mr x nc body.
  */
 void
-magDotTiled(const MagTileFn *tiles, size_t nr, const float *a,
-            size_t lda, size_t rows, const float *w, size_t ldw,
-            size_t cols, size_t k, double *dots, size_t ldd)
+magDotTiled(const MagTileFn *tiles, size_t nr, const int16_t *a,
+            size_t lda, size_t rows, const int16_t *w, size_t ldw,
+            size_t cols, size_t k, size_t kBlock, int64_t *dots,
+            size_t ldd)
 {
     for (size_t r = 0; r < rows; r += 4) {
         const size_t mr = std::min<size_t>(4, rows - r);
         for (size_t c = 0; c < cols; c += nr) {
             const size_t nc = std::min(nr, cols - c);
             tiles[(mr - 1) * nr + (nc - 1)](a + r * lda, lda,
-                                            w + c * ldw, ldw, k,
+                                            w + c * ldw, ldw, k, kBlock,
                                             dots + r * ldd + c, ldd);
         }
     }
@@ -403,131 +382,156 @@ magDotTiled(const MagTileFn *tiles, size_t nr, const float *a,
 
 #ifdef MOKEY_SIMD_X86_DISPATCH
 
-/**
- * AVX-512 MR x NR tile: one zmm accumulator (the 16 lanes) per
- * output, so a 4 x 4 tile holds 16 accumulators and each of its 8
- * loads per 16 elements feeds four FMAs. The double lanes live in
- * two zmm per output; those the register file cannot hold spill
- * only outside the k loop.
- */
-template <int MR, int NR>
-__attribute__((target("avx512f"))) void
-magTileAvx512(const float *a, size_t lda, const float *w, size_t ldw,
-              size_t k, double *dots, size_t ldd)
+/** Wrapping sum of a zmm's sixteen int32 lanes. Zero-masking
+ * extracts: GCC 12 flags the undefined pass-through operand of the
+ * plain extract (which the cast and _mm512_reduce_add_epi32 use)
+ * under -Wmaybe-uninitialized. */
+__attribute__((target("avx512f"))) inline int32_t
+sumLanesAvx512(__m512i v)
 {
-    __m512d dl[MR][NR][2];
-    for (int r = 0; r < MR; ++r)
-        for (int c = 0; c < NR; ++c)
-            dl[r][c][0] = dl[r][c][1] = _mm512_setzero_pd();
-    for (size_t kb = 0; kb < k; kb += kMagBlockK) {
-        const size_t kend = std::min(kb + kMagBlockK, k);
-        __m512 acc[MR][NR];
-        for (int r = 0; r < MR; ++r)
-            for (int c = 0; c < NR; ++c)
-                acc[r][c] = _mm512_setzero_ps();
-        for (size_t p = kb; p < kend; p += 16) {
-            // All 16 lanes, or the k tail's first kend - p.
-            const auto m = static_cast<__mmask16>(
-                kend - p >= 16 ? 0xffffu : (1u << (kend - p)) - 1u);
-            __m512 av[MR], wv[NR];
-            for (int r = 0; r < MR; ++r)
-                av[r] = _mm512_maskz_loadu_ps(m, a + r * lda + p);
-            for (int c = 0; c < NR; ++c)
-                wv[c] = _mm512_maskz_loadu_ps(m, w + c * ldw + p);
-            for (int r = 0; r < MR; ++r)
-                for (int c = 0; c < NR; ++c)
-                    acc[r][c] =
-                        _mm512_fmadd_ps(av[r], wv[c], acc[r][c]);
-        }
-        // Fold: lanes 0-7 and 8-15 widen to double (exact) and add
-        // into the double lanes. The all-ones zero-masking forms are
-        // the plain instructions; GCC 12 flags the plain intrinsics'
-        // undefined pass-through operand.
-        for (int r = 0; r < MR; ++r) {
-            for (int c = 0; c < NR; ++c) {
-                const __m512d x = _mm512_castps_pd(acc[r][c]);
-                const __m256 lo = _mm256_castpd_ps(
-                    _mm512_maskz_extractf64x4_pd(0xf, x, 0));
-                const __m256 hi = _mm256_castpd_ps(
-                    _mm512_maskz_extractf64x4_pd(0xf, x, 1));
-                dl[r][c][0] = _mm512_add_pd(
-                    dl[r][c][0], _mm512_maskz_cvtps_pd(0xff, lo));
-                dl[r][c][1] = _mm512_add_pd(
-                    dl[r][c][1], _mm512_maskz_cvtps_pd(0xff, hi));
-            }
-        }
+    const __m256i y =
+        _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xf, v, 0),
+                         _mm512_maskz_extracti64x4_epi64(0xf, v, 1));
+    __m128i x = _mm_add_epi32(_mm256_castsi256_si128(y),
+                              _mm256_extracti128_si256(y, 1));
+    x = _mm_add_epi32(x, _mm_shuffle_epi32(x, 0x4e));
+    x = _mm_add_epi32(x, _mm_shuffle_epi32(x, 0xb1));
+    return _mm_cvtsi128_si32(x);
+}
+
+/**
+ * AVX-512 MR x NR tile: one zmm of 16 int32 lanes per output, so a
+ * 4 x 4 tile holds 16 accumulators and each of its 8 loads per 32
+ * elements feeds four multiply-adds, written MADD(acc, a, w). Defined
+ * once per body through this macro: the target attribute cannot be a
+ * template parameter, and the VNNI-free body must not be compiled
+ * where the compiler may fuse vpmaddwd + vpaddd into vpdpwssd.
+ */
+#define MOKEY_MAG_TILE_AVX512(NAME, TARGET, MADD)                        \
+    template <int MR, int NR>                                            \
+    __attribute__((target(TARGET))) void                                 \
+    NAME(const int16_t *a, size_t lda, const int16_t *w, size_t ldw,     \
+         size_t k, size_t kBlock, int64_t *dots, size_t ldd)             \
+    {                                                                    \
+        int64_t sum[MR][NR] = {};                                        \
+        for (size_t kb = 0; kb < k; kb += kBlock) {                      \
+            const size_t kend = std::min(kb + kBlock, k);                \
+            __m512i acc[MR][NR];                                         \
+            for (int r = 0; r < MR; ++r)                                 \
+                for (int c = 0; c < NR; ++c)                             \
+                    acc[r][c] = _mm512_setzero_si512();                  \
+            for (size_t p = kb; p < kend; p += 32) {                     \
+                /* All 32 elements, or the k tail's first kend - p. */   \
+                const auto m = static_cast<__mmask32>(                   \
+                    kend - p >= 32 ? 0xffffffffu                         \
+                                   : (1u << (kend - p)) - 1u);           \
+                __m512i av[MR], wv[NR];                                  \
+                for (int r = 0; r < MR; ++r)                             \
+                    av[r] = _mm512_maskz_loadu_epi16(m, a + r * lda + p); \
+                for (int c = 0; c < NR; ++c)                             \
+                    wv[c] = _mm512_maskz_loadu_epi16(m, w + c * ldw + p); \
+                for (int r = 0; r < MR; ++r)                             \
+                    for (int c = 0; c < NR; ++c)                         \
+                        acc[r][c] = MADD(acc[r][c], av[r], wv[c]);       \
+            }                                                            \
+            for (int r = 0; r < MR; ++r)                                 \
+                for (int c = 0; c < NR; ++c)                             \
+                    sum[r][c] += sumLanesAvx512(acc[r][c]);              \
+        }                                                                \
+        for (int r = 0; r < MR; ++r)                                     \
+            for (int c = 0; c < NR; ++c)                                 \
+                dots[r * ldd + c] = sum[r][c];                           \
     }
-    for (int r = 0; r < MR; ++r) {
-        for (int c = 0; c < NR; ++c) {
-            alignas(64) double t[16];
-            _mm512_store_pd(t, dl[r][c][0]);
-            _mm512_store_pd(t + 8, dl[r][c][1]);
-            dots[r * ldd + c] = magLaneSum(t);
-        }
-    }
+
+#define MOKEY_MADD_VNNI(acc, x, y) _mm512_dpwssd_epi32(acc, x, y)
+#define MOKEY_MADD_BW(acc, x, y)                                         \
+    _mm512_add_epi32(acc, _mm512_madd_epi16(x, y))
+MOKEY_MAG_TILE_AVX512(magTileVnni, "avx512f,avx512bw,avx512vnni",
+                      MOKEY_MADD_VNNI)
+MOKEY_MAG_TILE_AVX512(magTileAvx512Bw, "avx512f,avx512bw", MOKEY_MADD_BW)
+#undef MOKEY_MADD_BW
+#undef MOKEY_MADD_VNNI
+#undef MOKEY_MAG_TILE_AVX512
+
+/** Wrapping sum of a ymm's eight int32 lanes. */
+__attribute__((target("avx2"))) inline int32_t
+sumLanesAvx2(__m256i v)
+{
+    __m128i x = _mm_add_epi32(_mm256_castsi256_si128(v),
+                              _mm256_extracti128_si256(v, 1));
+    x = _mm_add_epi32(x, _mm_shuffle_epi32(x, 0x4e));
+    x = _mm_add_epi32(x, _mm_shuffle_epi32(x, 0xb1));
+    return _mm_cvtsi128_si32(x);
 }
 
 /**
  * AVX2 MR x NR tile (NR <= 2: sixteen ymm registers hold 4 x 2
- * accumulators plus the loads). A ymm holds half of the 16 logical
- * lanes, so each K-block runs twice: lanes 0-7 read elements
- * 16q + 0..7, lanes 8-15 read 16q + 8..15. Each lane still sees its
- * own elements in order, so the arithmetic is the contract's.
+ * accumulators plus the loads), vpmaddwd + vpaddd over 16 elements
+ * per step. AVX2 has no 16-bit masked load, so a k tail shorter
+ * than 16 is copied into zero-padded stack rows first.
  */
 template <int MR, int NR>
-__attribute__((target("avx2,fma"))) void
-magTileAvx2(const float *a, size_t lda, const float *w, size_t ldw,
-            size_t k, double *dots, size_t ldd)
+__attribute__((target("avx2"))) void
+magTileAvx2(const int16_t *a, size_t lda, const int16_t *w, size_t ldw,
+            size_t k, size_t kBlock, int64_t *dots, size_t ldd)
 {
-    double dl[MR][NR][16] = {};
-    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    for (size_t kb = 0; kb < k; kb += kMagBlockK) {
-        const size_t kend = std::min(kb + kMagBlockK, k);
-        for (size_t h = 0; h < 16; h += 8) {
-            __m256 acc[MR][NR];
+    int64_t sum[MR][NR] = {};
+    for (size_t kb = 0; kb < k; kb += kBlock) {
+        const size_t kend = std::min(kb + kBlock, k);
+        __m256i acc[MR][NR];
+        for (int r = 0; r < MR; ++r)
+            for (int c = 0; c < NR; ++c)
+                acc[r][c] = _mm256_setzero_si256();
+        for (size_t p = kb; p < kend; p += 16) {
+            const int16_t *ar[MR], *wr[NR];
             for (int r = 0; r < MR; ++r)
-                for (int c = 0; c < NR; ++c)
-                    acc[r][c] = _mm256_setzero_ps();
-            for (size_t q = kb; q + h < kend; q += 16) {
-                // All 8 lanes of this half, or the k tail's share.
-                const int cnt =
-                    static_cast<int>(std::min<size_t>(kend - q - h, 8));
-                const __m256i m =
-                    _mm256_cmpgt_epi32(_mm256_set1_epi32(cnt), iota);
-                __m256 av[MR], wv[NR];
-                for (int r = 0; r < MR; ++r)
-                    av[r] = _mm256_maskload_ps(a + r * lda + q + h, m);
-                for (int c = 0; c < NR; ++c)
-                    wv[c] = _mm256_maskload_ps(w + c * ldw + q + h, m);
-                for (int r = 0; r < MR; ++r)
-                    for (int c = 0; c < NR; ++c)
-                        acc[r][c] =
-                            _mm256_fmadd_ps(av[r], wv[c], acc[r][c]);
-            }
-            // Fold this half's 8 lanes into their double lanes.
-            for (int r = 0; r < MR; ++r) {
+                ar[r] = a + r * lda + p;
+            for (int c = 0; c < NR; ++c)
+                wr[c] = w + c * ldw + p;
+            int16_t ta[MR][16], tw[NR][16];
+            if (kend - p < 16) {
+                for (int r = 0; r < MR; ++r) {
+                    std::fill(std::copy(ar[r], a + r * lda + kend, ta[r]),
+                              ta[r] + 16, int16_t{0});
+                    ar[r] = ta[r];
+                }
                 for (int c = 0; c < NR; ++c) {
-                    alignas(32) float t[8];
-                    _mm256_store_ps(t, acc[r][c]);
-                    for (size_t l = 0; l < 8; ++l)
-                        dl[r][c][h + l] += static_cast<double>(t[l]);
+                    std::fill(std::copy(wr[c], w + c * ldw + kend, tw[c]),
+                              tw[c] + 16, int16_t{0});
+                    wr[c] = tw[c];
                 }
             }
+            __m256i av[MR], wv[NR];
+            for (int r = 0; r < MR; ++r)
+                av[r] = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(ar[r]));
+            for (int c = 0; c < NR; ++c)
+                wv[c] = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(wr[c]));
+            for (int r = 0; r < MR; ++r)
+                for (int c = 0; c < NR; ++c)
+                    acc[r][c] = _mm256_add_epi32(
+                        acc[r][c], _mm256_madd_epi16(av[r], wv[c]));
         }
+        for (int r = 0; r < MR; ++r)
+            for (int c = 0; c < NR; ++c)
+                sum[r][c] += sumLanesAvx2(acc[r][c]);
     }
     for (int r = 0; r < MR; ++r)
         for (int c = 0; c < NR; ++c)
-            dots[r * ldd + c] = magLaneSum(dl[r][c]);
+            dots[r * ldd + c] = sum[r][c];
 }
 
-const MagTileFn kAvx512Tiles[16] = {
-    magTileAvx512<1, 1>, magTileAvx512<1, 2>, magTileAvx512<1, 3>,
-    magTileAvx512<1, 4>, magTileAvx512<2, 1>, magTileAvx512<2, 2>,
-    magTileAvx512<2, 3>, magTileAvx512<2, 4>, magTileAvx512<3, 1>,
-    magTileAvx512<3, 2>, magTileAvx512<3, 3>, magTileAvx512<3, 4>,
-    magTileAvx512<4, 1>, magTileAvx512<4, 2>, magTileAvx512<4, 3>,
-    magTileAvx512<4, 4>,
-};
+/** The 16 MR x NR bodies of one AVX-512 tile template, MR-major. */
+#define MOKEY_MAG_TILES_4X4(T)                                           \
+    {                                                                    \
+        T<1, 1>, T<1, 2>, T<1, 3>, T<1, 4>, T<2, 1>, T<2, 2>, T<2, 3>,   \
+            T<2, 4>, T<3, 1>, T<3, 2>, T<3, 3>, T<3, 4>, T<4, 1>,        \
+            T<4, 2>, T<4, 3>, T<4, 4>,                                   \
+    }
+const MagTileFn kVnniTiles[16] = MOKEY_MAG_TILES_4X4(magTileVnni);
+const MagTileFn kAvx512BwTiles[16] = MOKEY_MAG_TILES_4X4(magTileAvx512Bw);
+#undef MOKEY_MAG_TILES_4X4
 
 const MagTileFn kAvx2Tiles[8] = {
     magTileAvx2<1, 1>, magTileAvx2<1, 2>, magTileAvx2<2, 1>,
@@ -557,7 +561,7 @@ const MagTileFn kAvx2Tiles[8] = {
 inline size_t
 encodeLadderOne(float v_f, const double *mags, size_t h, double mean,
                 double scale, double cut, uint8_t *idx, int8_t *theta,
-                float *mag, size_t c)
+                int16_t *mag, const int16_t *grid, size_t c)
 {
     const double v = v_f;
     const double d = v - mean;
@@ -567,26 +571,26 @@ encodeLadderOne(float v_f, const double *mags, size_t h, double mean,
     unsigned k = 0;
     for (size_t i = 1; i < h; ++i)
         k += (au - mags[i - 1] > mags[i] - au) ? 1u : 0u;
-    const bool neg = u < 0.0;
+    const int th = is_ot ? 0 : (u < 0.0 ? -1 : 1);
     if (idx)
         idx[c] = is_ot ? 0 : static_cast<uint8_t>(k);
     if (theta)
-        theta[c] = is_ot ? 0 : (neg ? -1 : 1);
+        theta[c] = static_cast<int8_t>(th);
     if (mag)
-        mag[c] = is_ot ? 0.0f
-                       : static_cast<float>(neg ? -mags[k] : mags[k]);
+        mag[c] = static_cast<int16_t>(th * grid[k]);
     return is_ot ? 1 : 0;
 }
 
 MOKEY_SIMD_CLONES size_t
 encodeLadderGeneric(const float *src, size_t n, const double *mags,
                     size_t h, double mean, double scale, double cut,
-                    uint8_t *idx, int8_t *theta, float *mag)
+                    uint8_t *idx, int8_t *theta, int16_t *mag,
+                    const int16_t *grid)
 {
     size_t outliers = 0;
     for (size_t c = 0; c < n; ++c)
         outliers += encodeLadderOne(src[c], mags, h, mean, scale,
-                                    cut, idx, theta, mag, c);
+                                    cut, idx, theta, mag, grid, c);
     return outliers;
 }
 
@@ -595,15 +599,14 @@ encodeLadderGeneric(const float *src, size_t n, const double *mags,
 __attribute__((target("avx2"))) size_t
 encodeLadderAvx2(const float *src, size_t n, const double *mags,
                  size_t h, double mean, double scale, double cut,
-                 uint8_t *idx, int8_t *theta, float *mag)
+                 uint8_t *idx, int8_t *theta, int16_t *mag,
+                 const int16_t *grid)
 {
     const __m256d vmean = _mm256_set1_pd(mean);
     const __m256d vscale = _mm256_set1_pd(scale);
     const __m256d vcut = _mm256_set1_pd(cut);
     const __m256d absmask = _mm256_castsi256_pd(
         _mm256_set1_epi64x(0x7fffffffffffffffLL));
-    const __m256d signmask = _mm256_castsi256_pd(_mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ULL)));
     const __m256i one64 = _mm256_set1_epi64x(1);
     const __m256i two64 = _mm256_set1_epi64x(2);
     size_t outliers = 0;
@@ -630,55 +633,53 @@ encodeLadderAvx2(const float *src, size_t n, const double *mags,
         const __m256d negm =
             _mm256_cmp_pd(u, _mm256_setzero_pd(), _CMP_LT_OQ);
         const __m256i otm64 = _mm256_castpd_si256(otm);
-        if (mag) {
-            // mags is padded to 8 entries, so the gather stays in
-            // bounds for every k <= h-1. Sign flip is an exact xor;
-            // outlier lanes collapse to +0.0.
-            __m256d mg = _mm256_i64gather_pd(mags, k, 8);
-            mg = _mm256_xor_pd(mg, _mm256_and_pd(negm, signmask));
-            mg = _mm256_andnot_pd(otm, mg);
-            _mm_storeu_ps(mag + p, _mm256_cvtpd_ps(mg));
-        }
-        if (idx || theta) {
-            const __m256i ki = _mm256_andnot_si256(otm64, k);
-            // theta = 1 - 2*[negative], zeroed at outliers.
-            __m256i th = _mm256_sub_epi64(
-                one64,
-                _mm256_and_si256(_mm256_castpd_si256(negm), two64));
-            th = _mm256_andnot_si256(otm64, th);
-            alignas(32) int64_t kb[4], tb[4];
-            _mm256_store_si256(reinterpret_cast<__m256i *>(kb), ki);
-            _mm256_store_si256(reinterpret_cast<__m256i *>(tb), th);
-            for (int l = 0; l < 4; ++l) {
-                if (idx)
-                    idx[p + l] = static_cast<uint8_t>(kb[l]);
-                if (theta)
-                    theta[p + l] = static_cast<int8_t>(tb[l]);
-            }
+        const __m256i ki = _mm256_andnot_si256(otm64, k);
+        // theta = 1 - 2*[negative], zeroed at outliers; the mag slot
+        // is theta * grid[index], so outliers get 0 there too.
+        __m256i th = _mm256_sub_epi64(
+            one64, _mm256_and_si256(_mm256_castpd_si256(negm), two64));
+        th = _mm256_andnot_si256(otm64, th);
+        alignas(32) int64_t kb[4], tb[4];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(kb), ki);
+        _mm256_store_si256(reinterpret_cast<__m256i *>(tb), th);
+        for (int l = 0; l < 4; ++l) {
+            if (idx)
+                idx[p + l] = static_cast<uint8_t>(kb[l]);
+            if (theta)
+                theta[p + l] = static_cast<int8_t>(tb[l]);
+            if (mag)
+                mag[p + l] = static_cast<int16_t>(tb[l] * grid[kb[l]]);
         }
         outliers += static_cast<unsigned>(
             __builtin_popcount(_mm256_movemask_pd(otm)));
     }
     for (; p < n; ++p)
         outliers += encodeLadderOne(src[p], mags, h, mean, scale,
-                                    cut, idx, theta, mag, p);
+                                    cut, idx, theta, mag, grid, p);
     return outliers;
 }
 
+// Every intrinsic below is the zero-masking form: the plain
+// conversions and permutes pass GCC 12 an undefined source operand,
+// which it reports under -Wmaybe-uninitialized.
 __attribute__((target("avx512f"))) size_t
 encodeLadderAvx512(const float *src, size_t n, const double *mags,
                    size_t h, double mean, double scale, double cut,
-                   uint8_t *idx, int8_t *theta, float *mag)
+                   uint8_t *idx, int8_t *theta, int16_t *mag,
+                   const int16_t *grid)
 {
     const __m512d vmean = _mm512_set1_pd(mean);
     const __m512d vscale = _mm512_set1_pd(scale);
     const __m512d vcut = _mm512_set1_pd(cut);
-    const __m512d magtab = _mm512_loadu_pd(mags); // 8 padded entries
+    // 8 padded grid entries, one per int64 lane.
+    const __m512i gridtab = _mm512_maskz_cvtepi16_epi64(
+        0xff, _mm_loadu_si128(reinterpret_cast<const __m128i *>(grid)));
     const __m512i one64 = _mm512_set1_epi64(1);
     size_t outliers = 0;
     size_t p = 0;
     for (; p + 8 <= n; p += 8) {
-        const __m512d v = _mm512_cvtps_pd(_mm256_loadu_ps(src + p));
+        const __m512d v =
+            _mm512_maskz_cvtps_pd(0xff, _mm256_loadu_ps(src + p));
         const __m512d d = _mm512_sub_pd(v, vmean);
         const __mmask8 otm = _mm512_cmp_pd_mask(
             _mm512_abs_pd(d), vcut, _CMP_GT_OQ);
@@ -696,32 +697,29 @@ encodeLadderAvx512(const float *src, size_t n, const double *mags,
         const __mmask8 negm = _mm512_cmp_pd_mask(
             u, _mm512_setzero_pd(), _CMP_LT_OQ);
         if (mag) {
-            // Table permute instead of a gather; 0 - x is the exact
-            // negation for the strictly positive ladder entries.
-            __m512d mg = _mm512_permutexvar_pd(k, magtab);
-            mg = _mm512_mask_sub_pd(mg, negm, _mm512_setzero_pd(),
-                                    mg);
-            mg = _mm512_maskz_mov_pd(keep, mg);
-            _mm256_storeu_ps(mag + p, _mm512_maskz_cvtpd_ps(keep, mg));
+            // Table permute instead of a gather; the sign is an
+            // exact integer negation, and outlier lanes become 0.
+            __m512i mg = _mm512_maskz_permutexvar_epi64(0xff, k, gridtab);
+            mg = _mm512_mask_sub_epi64(mg, negm, _mm512_setzero_si512(),
+                                       mg);
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(mag + p),
+                             _mm512_maskz_cvtepi64_epi16(keep, mg));
         }
         if (idx)
-            _mm_storel_epi64(
-                reinterpret_cast<__m128i *>(idx + p),
-                _mm512_cvtepi64_epi8(
-                    _mm512_maskz_mov_epi64(keep, k)));
+            _mm_storel_epi64(reinterpret_cast<__m128i *>(idx + p),
+                             _mm512_maskz_cvtepi64_epi8(keep, k));
         if (theta) {
-            __m512i th = _mm512_mask_sub_epi64(
+            const __m512i th = _mm512_mask_sub_epi64(
                 one64, negm, _mm512_setzero_si512(), one64);
-            th = _mm512_maskz_mov_epi64(keep, th);
             _mm_storel_epi64(reinterpret_cast<__m128i *>(theta + p),
-                             _mm512_cvtepi64_epi8(th));
+                             _mm512_maskz_cvtepi64_epi8(keep, th));
         }
         outliers +=
             static_cast<unsigned>(__builtin_popcount(otm));
     }
     for (; p < n; ++p)
         outliers += encodeLadderOne(src[p], mags, h, mean, scale,
-                                    cut, idx, theta, mag, p);
+                                    cut, idx, theta, mag, grid, p);
     return outliers;
 }
 
@@ -760,7 +758,7 @@ signedIndexHistogram(const uint8_t *idx, const int8_t *th, size_t n,
 size_t
 encodeLadder(const float *src, size_t n, const double *mags, size_t h,
              double mean, double scale, double cut, uint8_t *idx,
-             int8_t *theta, float *mag)
+             int8_t *theta, int16_t *mag, const int16_t *grid)
 {
 #ifdef MOKEY_SIMD_X86_DISPATCH
     // The AVX-512 body only needs the F subset, so reusing the BW
@@ -768,13 +766,28 @@ encodeLadder(const float *src, size_t n, const double *mags, size_t h,
     const int isa = x86HistogramIsa();
     if (isa == 2)
         return encodeLadderAvx512(src, n, mags, h, mean, scale, cut,
-                                  idx, theta, mag);
+                                  idx, theta, mag, grid);
     if (isa == 1)
         return encodeLadderAvx2(src, n, mags, h, mean, scale, cut,
-                                idx, theta, mag);
+                                idx, theta, mag, grid);
 #endif
     return encodeLadderGeneric(src, n, mags, h, mean, scale, cut,
-                               idx, theta, mag);
+                               idx, theta, mag, grid);
+}
+
+size_t
+magKBlock(int32_t maxA, int32_t maxW)
+{
+    MOKEY_ASSERT(maxA >= 1 && maxA <= 32767 && maxW >= 1 &&
+                     maxW <= 32767,
+                 "grid magnitudes %d and %d outside [1, 32767]", maxA,
+                 maxW);
+    const int64_t prod = int64_t{maxA} * maxW;
+    const size_t kb = static_cast<size_t>(INT32_MAX / prod) / 32 * 32;
+    MOKEY_ASSERT(kb >= 32,
+                 "grid magnitudes %d x %d overflow an int32 sum of 32 "
+                 "products", maxA, maxW);
+    return kb;
 }
 
 SimdIsa
@@ -782,10 +795,12 @@ magDotIsa()
 {
 #ifdef MOKEY_SIMD_X86_DISPATCH
     static const SimdIsa isa = [] {
-        if (__builtin_cpu_supports("avx512f"))
-            return SimdIsa::Avx512;
-        if (__builtin_cpu_supports("avx2") &&
-            __builtin_cpu_supports("fma"))
+        if (__builtin_cpu_supports("avx512bw")) {
+            if (__builtin_cpu_supports("avx512vnni"))
+                return SimdIsa::Avx512Vnni;
+            return SimdIsa::Avx512Bw;
+        }
+        if (__builtin_cpu_supports("avx2"))
             return SimdIsa::Avx2;
         return SimdIsa::Generic;
     }();
@@ -803,29 +818,36 @@ simdIsaName(SimdIsa isa)
         return "generic";
     case SimdIsa::Avx2:
         return "avx2";
-    case SimdIsa::Avx512:
-        return "avx512";
+    case SimdIsa::Avx512Bw:
+        return "avx512bw";
+    case SimdIsa::Avx512Vnni:
+        return "avx512vnni";
     }
     return "?";
 }
 
 void
-magDotBlockOn(SimdIsa isa, const float *a, size_t lda, size_t rows,
-              const float *w, size_t ldw, size_t cols, size_t k,
-              double *dots, size_t ldd)
+magDotBlockOn(SimdIsa isa, const int16_t *a, size_t lda, size_t rows,
+              const int16_t *w, size_t ldw, size_t cols, size_t k,
+              size_t kBlock, int64_t *dots, size_t ldd)
 {
     MOKEY_ASSERT(static_cast<int>(isa) <=
                      static_cast<int>(magDotIsa()),
                  "mag kernel body %s is not available on this host",
                  simdIsaName(isa));
+    MOKEY_ASSERT(kBlock >= 32 && kBlock % 32 == 0,
+                 "K-block %zu is not a positive multiple of 32", kBlock);
     switch (isa) {
 #ifdef MOKEY_SIMD_X86_DISPATCH
-    case SimdIsa::Avx512:
-        return magDotTiled(kAvx512Tiles, 4, a, lda, rows, w, ldw, cols,
-                           k, dots, ldd);
+    case SimdIsa::Avx512Vnni:
+        return magDotTiled(kVnniTiles, 4, a, lda, rows, w, ldw, cols, k,
+                           kBlock, dots, ldd);
+    case SimdIsa::Avx512Bw:
+        return magDotTiled(kAvx512BwTiles, 4, a, lda, rows, w, ldw, cols,
+                           k, kBlock, dots, ldd);
     case SimdIsa::Avx2:
         return magDotTiled(kAvx2Tiles, 2, a, lda, rows, w, ldw, cols, k,
-                           dots, ldd);
+                           kBlock, dots, ldd);
 #endif
     default:
         return magDotBlockGeneric(a, lda, rows, w, ldw, cols, k, dots,
@@ -834,12 +856,12 @@ magDotBlockOn(SimdIsa isa, const float *a, size_t lda, size_t rows,
 }
 
 void
-magDotBlock(const float *a, size_t lda, size_t rows, const float *w,
-            size_t ldw, size_t cols, size_t k, double *dots,
-            size_t ldd)
+magDotBlock(const int16_t *a, size_t lda, size_t rows, const int16_t *w,
+            size_t ldw, size_t cols, size_t k, size_t kBlock,
+            int64_t *dots, size_t ldd)
 {
-    magDotBlockOn(magDotIsa(), a, lda, rows, w, ldw, cols, k, dots,
-                  ldd);
+    magDotBlockOn(magDotIsa(), a, lda, rows, w, ldw, cols, k, kBlock,
+                  dots, ldd);
 }
 
 } // namespace mokey

@@ -7,10 +7,13 @@
  * variants and the dynamic linker picks one per process at startup.
  * Within a process the chosen variant — and therefore the exact FP
  * rounding — is fixed. The index-engine kernels (the mag GEMM block,
- * the histograms, the ladder encode) dispatch at run time instead.
+ * the histograms, the ladder encode) dispatch at run time instead;
+ * they are exact integer or exact-comparison arithmetic, so every
+ * body gives the same bits.
  *
- * Lane structure (and thus arithmetic order) is written out
- * explicitly: 16 independent accumulators reduced in a fixed order.
+ * The float dots' lane structure (and thus arithmetic order) is
+ * written out explicitly: 16 independent accumulators reduced in a
+ * fixed order.
  */
 
 #ifndef MOKEY_COMMON_SIMD_HH
@@ -22,68 +25,69 @@
 namespace mokey
 {
 
-// ---- register-blocked mag-plane GEMM (mag engine) ------------------
+// ---- exact int16 grid GEMM (mag engine) ----------------------------
 //
-// The mag engine's whole dot product: float mag-plane rows in, one
-// double per output element out. The arithmetic of every output is a
-// fixed function of k alone, the same in every tile shape, tail and
-// ISA body:
-//
-//  - 16 logical lanes: element p feeds lane p mod 16 with one
-//    single-rounding float FMA, acc[l] = fma(a[p], w[p], acc[l]);
-//  - the float lanes restart at every multiple of kMagBlockK and, at
-//    the end of each K-block, fold in block order into 16 double
-//    lanes (dl[l] += (double)acc[l]);
-//  - the result sums the 16 double lanes in one fixed tree (lane l
-//    with lane l + 8, then l + 4, l + 2, l + 1).
-//
-// So an output is bit-identical whether it is computed in a 4 x 4
-// register tile, in a row or column tail, or alone, and on the
-// AVX-512, AVX2 and generic bodies alike (the generic body calls the
-// correctly-rounded std::fma). Dispatch is at run time through
+// The mag engine's whole dot product: int16 grid-plane rows in, one
+// exact int64 per output element out. Products of two int16 values
+// accumulate in int32 lanes within K-blocks of kBlock elements, and
+// each block's lanes are summed and folded into int64. The caller
+// derives kBlock from the largest grid magnitudes of the two operands
+// (magKBlock), so no block's sum can leave int32. Integer addition is
+// associative, so the result is the exact dot product in every tile
+// shape, tail, ISA body and block length: nothing about the lane
+// order is part of the contract. Dispatch is at run time through
 // __builtin_cpu_supports, not ifunc, so sanitizer builds run the
 // intrinsic bodies too.
 
-/** Float accumulation length before each fold into double. */
-constexpr size_t kMagBlockK = 256;
+/**
+ * K-block length for int16 operands bounded by @p maxA and @p maxW in
+ * magnitude: floor((2^31 - 1) / (maxA maxW)) rounded down to a
+ * multiple of 32, so the sum of any block's products fits in int32.
+ * Panics when that is below 32 (one vector step).
+ */
+size_t magKBlock(int32_t maxA, int32_t maxW);
 
 /**
- * Register-blocked mag-plane GEMM block:
+ * Register-blocked grid-plane GEMM block:
  *
- *   dots[r * ldd + c] = dot(a + r * lda, w + c * ldw) over k
+ *   dots[r * ldd + c] = sum_p a[r * lda + p] * w[c * ldw + p], p < k
  *
- * for r < rows, c < cols, with the fixed per-element arithmetic
- * above. The AVX-512 body computes 4 activation rows x 4 weight rows
- * per pass with 16 vector accumulators: each loaded vector feeds four
- * FMAs (8 loads per 16 FMAs). Both operands are read in place; the
- * k tail is loaded under a mask, never past a row's end.
+ * exactly, for r < rows, c < cols. Every element of @p a and @p w
+ * lies in [-32767, 32767], and @p kBlock (a multiple of 32, from
+ * magKBlock) bounds how many products share one int32 accumulator.
+ * The AVX-512 bodies compute 4 activation rows x 4 weight rows per
+ * pass with 16 vector accumulators; both operands are read in place,
+ * and the k tail is loaded under a mask, never past a row's end.
  */
-void magDotBlock(const float *a, size_t lda, size_t rows,
-                 const float *w, size_t ldw, size_t cols, size_t k,
-                 double *dots, size_t ldd);
+void magDotBlock(const int16_t *a, size_t lda, size_t rows,
+                 const int16_t *w, size_t ldw, size_t cols, size_t k,
+                 size_t kBlock, int64_t *dots, size_t ldd);
 
 /** The instruction-set bodies magDotBlock() can dispatch to. */
 enum class SimdIsa
 {
     Generic,
-    Avx2,   ///< AVX2 + FMA
-    Avx512, ///< AVX-512F
+    Avx2,       ///< vpmaddwd + vpaddd on ymm, 4 x 2 tiles
+    Avx512Bw,   ///< vpmaddwd + vpaddd on zmm, 4 x 4 tiles
+    Avx512Vnni, ///< vpdpwssd on zmm, 4 x 4 tiles
 };
 
 /** The body magDotBlock() runs on this host (fixed per process). */
 SimdIsa magDotIsa();
 
-/** Human-readable ISA name ("generic" / "avx2" / "avx512"). */
+/** Human-readable ISA name ("generic" / "avx2" / "avx512bw" /
+ *  "avx512vnni"). */
 const char *simdIsaName(SimdIsa isa);
 
 /**
  * magDotBlock() on one named body, for tests that hold every body to
- * the same arithmetic. @p isa must be supported by this build and
+ * the same exact sums. @p isa must be supported by this build and
  * host (every body <= magDotIsa() is).
  */
-void magDotBlockOn(SimdIsa isa, const float *a, size_t lda,
-                   size_t rows, const float *w, size_t ldw,
-                   size_t cols, size_t k, double *dots, size_t ldd);
+void magDotBlockOn(SimdIsa isa, const int16_t *a, size_t lda,
+                   size_t rows, const int16_t *w, size_t ldw,
+                   size_t cols, size_t k, size_t kBlock, int64_t *dots,
+                   size_t ldd);
 
 /**
  * Streaming sum of @p n doubles, 16-lane fixed-tree reduction. One
@@ -160,7 +164,7 @@ void signedIndexHistogram(const uint8_t *idx, const int8_t *th,
  * Per element v (promoted to double):
  *  - outlier when |v - mean| > cut: the element's planes get the
  *    zero-index/zero-sign/zero-magnitude convention (idx 0, theta 0,
- *    mag 0.0) and only the count is reported — the caller resolves
+ *    mag 0) and only the count is reported — the caller resolves
  *    the outlier-dictionary code, and the mag slot's final value,
  *    in its sidecar pass (LadderSpec::encodeRow);
  *  - otherwise u = (v - mean) / scale, theta = sign, and the index is
@@ -179,14 +183,17 @@ void signedIndexHistogram(const uint8_t *idx, const int8_t *th,
  *              the dictionary has no outlier table
  * @param idx   uint8 index plane row, or nullptr to skip
  * @param theta int8 +1/-1 sign plane row, or nullptr to skip
- * @param mag   float signed-magnitude plane row (each entry the
- *              double ladder magnitude rounded to float), or
+ * @param mag   int16 grid-plane row, theta * grid[index], or
  *              nullptr to skip
+ * @param grid  the ladder's grid magnitudes (ExpDictionary::
+ *              gridMagnitude), padded to 8 entries like @p mags;
+ *              read only when @p mag is set
  * @return number of outlier elements in the row
  */
 size_t encodeLadder(const float *src, size_t n, const double *mags,
                     size_t h, double mean, double scale, double cut,
-                    uint8_t *idx, int8_t *theta, float *mag);
+                    uint8_t *idx, int8_t *theta, int16_t *mag,
+                    const int16_t *grid);
 
 } // namespace mokey
 

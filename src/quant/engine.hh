@@ -5,19 +5,19 @@
  * Two engines realize the paper's index-domain algebra over
  * different dense-plane encodings of the same codes:
  *
- *  - Mag   : streams the 4-byte-per-element (kMagElemBytes) signed
- *            magnitude plane, whose outlier slots hold the centroid
- *            in Gaussian units, so GPE and OPP collapse into one
- *            register-blocked float dot product (simd.hh
- *            magDotBlock). Fastest when the planes are
- *            cache-resident.
+ *  - Mag   : streams the 2-byte-per-element (kMagElemBytes) int16
+ *            signed grid-magnitude plane, whose outlier slots hold
+ *            the centroid's grid value, so GPE and OPP collapse into
+ *            one exact register-blocked integer dot product (simd.hh
+ *            magDotBlock). The fastest engine at every measured
+ *            shape.
  *  - Count : the paper-faithful counting dataflow — streams the
  *            2-byte-per-element (uint8 index, int8 theta) byte
  *            planes, SIMD-accumulates a signed histogram over the
  *            joint index space per output element, collapses it
  *            with one short dot against the decoded dictionary
- *            products and merges the outlier sidecars (OPP). 2x
- *            fewer streamed bytes per element; the histogram phase
+ *            products and merges the outlier sidecars (OPP). As many
+ *            streamed bytes per element as Mag; the histogram phase
  *            is exact integer arithmetic.
  *
  * The active engine is chosen once per process from the MOKEY_ENGINE
@@ -70,10 +70,9 @@ PlaneSet enginePlaneSet(IndexEngine engine);
 /**
  * Streamed-mag working set above which the Auto heuristic calls a
  * GEMM DRAM-bound and routes it to the counting engine: the mag
- * engine's edge is cache residency, and 4 B/element planes that
- * spill are exactly the regime the 2 B/element byte planes exist
- * for (ROADMAP: "pick count when planes are cold or K is
- * DRAM-bound").
+ * engine's edge is cache residency, and mag planes that spill are
+ * the regime the byte planes were added for (ROADMAP: "pick count
+ * when planes are cold or K is DRAM-bound").
  */
 constexpr size_t kAutoMagBudgetBytes = 12u << 20;
 
@@ -98,7 +97,7 @@ void setEngineCalibration(bool on);
  * Measure the host's streamed-read cache cliff once per process: a
  * tiny timed probe (sumD over growing buffers) finds the largest
  * working set that still streams at near-cache bandwidth, which is
- * exactly the regime where the 4 B/element mag planes win. Result
+ * exactly the regime where the mag planes win. Result
  * is clamped to [4 MiB, 64 MiB] and cached; takes a few ms on the
  * first call.
  */
@@ -120,12 +119,11 @@ void setAutoMagBudgetBytes(size_t bytes);
  * unit tests can pin it:
  *
  *  1. (aRows + wRows) * k * kMagElemBytes mag-plane bytes over the
- *     budget -> Count (K is DRAM-bound: stream 2 B/element, not 4);
+ *     budget -> Count (K is DRAM-bound);
  *  2. weight mag plane resident (pinned warm) -> Mag (fastest when
  *     cache-resident and already paid for);
  *  3. otherwise (weight planes cold, or only byte planes resident)
- *     -> Count (deriving/streaming byte planes is 2x cheaper than
- *     materializing mag).
+ *     -> Count (the byte planes are the cheap default to derive).
  *
  * @param aRows  activation rows (M)
  * @param wRows  weight rows (N; the transposed operand)

@@ -32,6 +32,17 @@ ExpDictionary::ExpDictionary(double a, double b, size_t index_count)
     }
     MOKEY_ASSERT(mags.front() > 0.0,
                  "smallest magnitude non-positive: a=%f b=%f", a, b);
+    grid.resize(index_count);
+    for (size_t i = 0; i < index_count; ++i) {
+        grid[i] = static_cast<int16_t>(
+            std::lround(kGridTop * mags[i] / mags.back()));
+        MOKEY_ASSERT(grid[i] >= 1,
+                     "magnitude %zu of a=%f b=%f rounds to 0 on the "
+                     "int16 grid", i, a, b);
+        MOKEY_ASSERT(i == 0 || grid[i] > grid[i - 1],
+                     "magnitudes %zu and %zu of a=%f b=%f share one "
+                     "int16 grid step", i - 1, i, a, b);
+    }
     sumPowers.resize(2 * index_count - 1);
     p = 1.0;
     for (auto &sp : sumPowers) {
@@ -45,6 +56,13 @@ ExpDictionary::magnitude(size_t i) const
 {
     MOKEY_ASSERT(i < mags.size(), "index %zu out of range", i);
     return mags[i];
+}
+
+int16_t
+ExpDictionary::gridMagnitude(size_t i) const
+{
+    MOKEY_ASSERT(i < grid.size(), "index %zu out of range", i);
+    return grid[i];
 }
 
 double

@@ -65,12 +65,27 @@ class ExpDictionary
     /** Largest unscaled magnitude (magnitude(indexCount()-1)). */
     double maxMagnitude() const { return mags.back(); }
 
+    /** Grid units the largest magnitude maps to (int8-representable). */
+    static constexpr int kGridTop = 127;
+
+    /**
+     * Magnitude of index @p i on the mag engine's integer grid:
+     * round(kGridTop * (a^i + b) / top), top = maxMagnitude(). The
+     * entries are strictly increasing from >= 1 (checked at
+     * construction), so a grid value still names its index and sign.
+     */
+    int16_t gridMagnitude(size_t i) const;
+
+    /** Unscaled magnitude of one grid step: top / kGridTop. */
+    double gridUnit() const { return mags.back() / kGridTop; }
+
   private:
     double baseA;
     double offsetB;
     std::vector<double> powers;    ///< a^i, i in [0, h)
     std::vector<double> mags;      ///< a^i + b, ascending
     std::vector<double> sumPowers; ///< a^e, e in [0, 2h-1)
+    std::vector<int16_t> grid;     ///< gridMagnitude(i), ascending
 };
 
 } // namespace mokey

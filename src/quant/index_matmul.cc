@@ -212,8 +212,13 @@ gemmConstants(const TensorDictionary &da, const TensorDictionary &dw,
     ctx.sW = dw.scale();
     ctx.mA = da.mean();
     ctx.mW = dw.mean();
-    ctx.c0 = ctx.sA * ctx.sW;
+    ctx.gA = ctx.sA * da.exp().gridUnit();
+    ctx.gW = ctx.sW * dw.exp().gridUnit();
+    ctx.c0 = ctx.gA * ctx.gW;
     ctx.constTerm = static_cast<double>(ctx.k) * ctx.mA * ctx.mW;
+    ctx.maxA = da.maxGridMagnitude();
+    ctx.maxW = dw.maxGridMagnitude();
+    ctx.kBlock = magKBlock(ctx.maxA, ctx.maxW);
     const size_t h = exp.indexCount();
     for (size_t i = 0; i < h; ++i)
         ctx.mags[i] = exp.magnitude(i);
@@ -229,10 +234,10 @@ namespace
 /**
  * Small sharded LRU behind cachedGemmConstants(). The key is the
  * complete set of value inputs to gemmConstants() — two dictionaries'
- * (scale, mean), the shared exponential dictionary's (a, b,
- * indexCount), and K — so two keys that compare equal derive
- * bit-identical constants and a collision is by construction
- * impossible to observe. Sharding by key hash keeps concurrent lanes
+ * (scale, mean, largest grid magnitude), the shared exponential
+ * dictionary's (a, b, indexCount), and K — so two keys that compare
+ * equal derive bit-identical constants and a collision is by
+ * construction impossible to observe. Sharding by key hash keeps concurrent lanes
  * off each other's mutex; each shard is a tiny move-to-front vector
  * (attention sites produce one K per (layer, seq) — a handful of
  * live keys per serving mix).
@@ -240,13 +245,15 @@ namespace
 struct GemmKey
 {
     double sA, mA, sW, mW, expA, expB;
+    int32_t maxA, maxW;
     size_t h, k;
 
     bool operator==(const GemmKey &o) const
     {
         return sA == o.sA && mA == o.mA && sW == o.sW &&
                mW == o.mW && expA == o.expA && expB == o.expB &&
-               h == o.h && k == o.k;
+               maxA == o.maxA && maxW == o.maxW && h == o.h &&
+               k == o.k;
     }
 };
 
@@ -263,9 +270,16 @@ class GemmConstantsCache
                       const TensorDictionary &dw, size_t k)
     {
         const ExpDictionary &exp = da.exp();
-        const GemmKey key{da.scale(), da.mean(),  dw.scale(),
-                          dw.mean(),  exp.a(),    exp.b(),
-                          exp.indexCount(),       k};
+        const GemmKey key{da.scale(),
+                          da.mean(),
+                          dw.scale(),
+                          dw.mean(),
+                          exp.a(),
+                          exp.b(),
+                          da.maxGridMagnitude(),
+                          dw.maxGridMagnitude(),
+                          exp.indexCount(),
+                          k};
         Shard &shard = shards[hashKey(key) % kShards];
         {
             std::lock_guard<std::mutex> lk(shard.mu);
@@ -338,6 +352,8 @@ class GemmConstantsCache
         mixd(key.mW);
         mixd(key.expA);
         mixd(key.expB);
+        mix(static_cast<uint64_t>(key.maxA));
+        mix(static_cast<uint64_t>(key.maxW));
         mix(key.h);
         mix(key.k);
         return static_cast<size_t>(h);
@@ -373,28 +389,31 @@ namespace
 {
 
 /**
- * One engine output element, given its dot product @p gdot over two
- * mag-plane rows (simd.hh magDotBlock, whose per-element arithmetic
- * is the same in every tile shape).
+ * One engine output element, given the exact integer dot product
+ * @p gdot of two int16 grid-plane rows (simd.hh magDotBlock).
  *
- * Every mag-plane slot decodes as mag * scale + mean — a Gaussian
- * slot holds th (a^i + b), an outlier slot its centroid in Gaussian
- * units — so with A = sA a + mA and W = sW w + mW for every element
- *   sum A W = c0 dot(a, w) + sA mW sum a + sW mA sum w + k mA mW,
- * where the row sums are the precomputed fold terms. For a Gaussian
- * pair this is the GPE histogram algebra collapsed exactly: its
+ * Every mag-plane slot decodes as mag * g + mean, with g the
+ * operand's grid step in value units (GemmConstants::gA / gW) — a
+ * Gaussian slot holds th * round(127 (a^i + b) / top), an outlier
+ * slot its centroid's grid value — so with A = gA a + mA and
+ * W = gW w + mW for every element
+ *   sum A W = c0 dot(a, w) + gA mW sum a + gW mA sum w + k mA mW,
+ * where the row sums are the precomputed exact fold terms. For a
+ * Gaussian pair this is the GPE histogram algebra collapsed: its
  * online terms s_a s_w (a^(ia+iw) + b a^ia + b a^iw + b^2) * sign
- * factor into c0 * [th_a (a^ia + b)] * [th_w (a^iw + b)]. An outlier
- * pair — the OPP's one real multiply — is the same product of two
- * slots, so no sidecar is walked and no correction is needed. The
- * CRF histogram model itself lives on in indexDot(), which the
- * property tests hold this engine to. Its one caller is magTile().
+ * factor into s_a s_w [th_a (a^ia + b)] * [th_w (a^iw + b)], with
+ * each bracket snapped to the grid. An outlier pair — the OPP's one
+ * real multiply — is the same product of two slots, so no sidecar
+ * is walked and no correction is needed. The CRF histogram model
+ * itself lives on in indexDot(), which the property tests hold this
+ * engine to within the grid's rounding. Its one caller is magTile().
  */
 inline double
-engineDot(const GemmConstants &ctx, double gdot, double row_term,
+engineDot(const GemmConstants &ctx, int64_t gdot, double row_term,
           double col_term)
 {
-    return ctx.c0 * gdot + row_term + col_term + ctx.constTerm;
+    return ctx.c0 * static_cast<double>(gdot) + row_term + col_term +
+        ctx.constTerm;
 }
 
 /**
@@ -420,8 +439,8 @@ addPairStats(const CodePlanes &pa, const CodePlanes &pw, size_t k,
     stats->add(m * n * k - ot_pairs, ot_pairs);
 }
 
-/** Weight-tile width: kTileN*k*kMagElemBytes mag-plane bytes (96 KiB
- * at k = 768, 384 KiB at k = 3072) stay L2-resident. */
+/** Weight-tile width: kTileN*k*kMagElemBytes mag-plane bytes (48 KiB
+ * at k = 768, 192 KiB at k = 3072) stay L2-resident. */
 constexpr size_t kTileN = 32;
 
 /**
@@ -429,8 +448,8 @@ constexpr size_t kTileN = 32;
  * kTileN columns), written to out[(i - lo) * ldo + j]: the tile
  * kernel of every mag path, fused and unfused. Each 4-row group runs
  * one register-blocked magDotBlock over the weight tile, so a weight
- * row is loaded once per 4 activation rows; every dot is the same
- * function of its two rows whatever the group or tail.
+ * row is loaded once per 4 activation rows; every dot is the exact
+ * integer sum whatever the group or tail.
  *
  * noinline on purpose: one instantiation gives engineDot the same FP
  * contraction for every caller, which the bit-parity guarantee
@@ -443,11 +462,11 @@ magTile(const GemmConstants &ctx, const CodePlanes &pa,
         float *out, size_t ldo)
 {
     const size_t k = pa.cols;
-    double dots[4 * kTileN];
+    int64_t dots[4 * kTileN];
     for (size_t i = lo; i < hi; i += 4) {
         const size_t mr = std::min<size_t>(4, hi - i);
         magDotBlock(pa.magRow(i), k, mr, pw.magRow(jb), k, jend - jb,
-                    k, dots, kTileN);
+                    k, ctx.kBlock, dots, kTileN);
         for (size_t r = 0; r < mr; ++r) {
             float *orow = out + (i + r - lo) * ldo;
             for (size_t j = jb; j < jend; ++j)
@@ -467,9 +486,9 @@ magTile(const GemmConstants &ctx, const CodePlanes &pa,
  * when mag elements were 8 B), the split cost 7% of mokey-bench
  * ragged-http and 11% of short-http throughput (median of 10
  * alternating pairs each), while the BERT-base planes (4.5 MiB and
- * up then) gained on both BERT workloads. At kMagElemBytes = 4 the
- * same cut still separates them: 147 KiB at most against 2.25 MiB
- * and up.
+ * up then) gained on both BERT workloads. At kMagElemBytes = 2 the
+ * same cut still separates them: the 1/8-scale reduced model's
+ * planes are 72 KiB at most, BERT-base's 1.125 MiB and up.
  */
 constexpr size_t kWeightStationaryMinBytes = size_t{1} << 20;
 
@@ -495,25 +514,25 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
 
     // Pairing-independent sums folded straight into per-row/-column
     // scalar terms of the reconstruction. Over the Gaussian slots the
-    // seed's SoA2 + b*PoM2 is exactly the mag-plane row sum,
+    // seed's SoA2 + b*PoM2 is the mag-plane row sum on the grid,
     //   sum th (a^i) + b sum th  =  sum th (a^i + b),
-    // and the outlier slots add their own (v - m) / s.
+    // and the outlier slots add their own grid values.
     // Folded per call on purpose — this layer-at-a-time path is the
     // frozen baseline the fused graph walk (which reads the planes'
-    // precomputed magRowSum) is benchmarked against; the shared
-    // helper guarantees the arithmetic order matches bit for bit.
+    // precomputed magRowSum) is benchmarked against; both are the
+    // same exact integer sum.
     std::vector<double> row_term(m), col_term(n);
     const auto fold = [k](const CodePlanes &p, size_t r) {
-        return magPlaneRowSum(p.magRow(r), k);
+        return static_cast<double>(magPlaneRowSum(p.magRow(r), k));
     };
     // The scalar path must honour its contract of never touching the
     // pool, so the fold loops are serial there too; per-element
     // results are identical either way.
     const auto foldRows = [&](size_t i) {
-        row_term[i] = ctx.sA * ctx.mW * fold(pa, i);
+        row_term[i] = ctx.gA * ctx.mW * fold(pa, i);
     };
     const auto foldCols = [&](size_t j) {
-        col_term[j] = ctx.sW * ctx.mA * fold(pw, j);
+        col_term[j] = ctx.gW * ctx.mA * fold(pw, j);
     };
     if (tiled_parallel) {
         parallelFor(lane, 0, m, 16, foldRows);
@@ -578,7 +597,7 @@ countingDot(const GemmConstants &cc, const uint8_t *ia,
     double gsum = 0.0;
     for (size_t b = 0; b < cc.prod.size(); ++b)
         gsum += hist[b] * cc.prod[b];
-    const double gpe = ctx.c0 * gsum;
+    const double gpe = ctx.sA * ctx.sW * gsum;
 
     double ot_acc = 0.0;
     size_t x = 0, y = 0;
@@ -628,7 +647,7 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
         cachedGemmConstants(a.dictionary(), wt.dictionary(), k);
     const GemmConstants &ctx = cc;
 
-    // Byte planes only: 2 B per element resident, never the 4 B mag
+    // Byte planes only: 2 B per element resident, never the mag
     // plane. Owning pointers guard against concurrent upgrades.
     const auto pa_sp = a.planesShared(PlaneSet::Bytes);
     const auto pw_sp = wt.planesShared(PlaneSet::Bytes);
@@ -663,7 +682,7 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
     Tensor out(m, n);
     const auto band = [&](size_t lo, size_t hi) {
         // Same weight-row tiling as the mag engine; a kTileN-row
-        // byte-plane block is 2*kTileN*k bytes — half the mag
+        // byte-plane block is 2*kTileN*k bytes, as large as the mag
         // engine's.
         for (size_t jb = 0; jb < n; jb += kTileN) {
             const size_t jhi = std::min(jb + kTileN, n);
@@ -822,17 +841,20 @@ indexMatmulTransBFused(const QuantizedTensor &a,
     // collapse to one multiply per row/column instead of an O(k)
     // re-fold per GEMM call (the column fold alone is ~half the
     // work of an m=1 decode GEMM).
-    const std::vector<double> &a_sum =
-        mag_eng ? pa.magRowSum : pa.byteRowSum;
-    const std::vector<double> &w_sum =
-        mag_eng ? pw.magRowSum : pw.byteRowSum;
-    MOKEY_ASSERT(a_sum.size() == m && w_sum.size() == n,
+    MOKEY_ASSERT(mag_eng ? pa.magRowSum.size() == m &&
+                               pw.magRowSum.size() == n
+                         : pa.byteRowSum.size() == m &&
+                               pw.byteRowSum.size() == n,
                  "planes lack their precomputed fold sums");
     std::vector<double> row_term(m), col_term(n);
     for (size_t i = 0; i < m; ++i)
-        row_term[i] = ctx.sA * ctx.mW * a_sum[i];
+        row_term[i] = mag_eng
+            ? ctx.gA * ctx.mW * static_cast<double>(pa.magRowSum[i])
+            : ctx.sA * ctx.mW * pa.byteRowSum[i];
     for (size_t j = 0; j < n; ++j)
-        col_term[j] = ctx.sW * ctx.mA * w_sum[j];
+        col_term[j] = mag_eng
+            ? ctx.gW * ctx.mA * static_cast<double>(pw.magRowSum[j])
+            : ctx.sW * ctx.mA * pw.byteRowSum[j];
 
     FusedGemmOut out;
     if (keepDense)
@@ -902,7 +924,7 @@ indexMatmulTransBFused(const QuantizedTensor &a,
                 continue;
             uint8_t *ix = obytes ? op->index.data() + i * n : nullptr;
             int8_t *th = obytes ? op->theta.data() + i * n : nullptr;
-            MagElem *mg = omag ? op->mag.data() + i * n : nullptr;
+            int16_t *mg = omag ? op->mag.data() + i * n : nullptr;
             lad.encodeRow(vals, n, ix, th, mg, row_ot[i]);
             if (omag)
                 op->magRowSum[i] = magPlaneRowSum(mg, n);

@@ -23,9 +23,9 @@
  *
  * With these corrections the index-domain result equals the
  * decode-then-multiply reference *exactly* (up to FP rounding), which
- * the property tests assert. The mag engine needs no OPP: its planes
- * store an outlier as (v - m) / s, so one dense dot covers every
- * pair with no correction term.
+ * the property tests assert. The mag engine needs no OPP: its int16
+ * grid planes store an outlier as round((v - m) / (s g)) in place, so
+ * one exact integer dot covers every pair with no correction term.
  */
 
 #ifndef MOKEY_QUANT_INDEX_MATMUL_HH
@@ -63,8 +63,16 @@ struct GemmConstants
     size_t k = 0;
     double sA = 0.0, sW = 0.0; ///< per-tensor scales
     double mA = 0.0, mW = 0.0; ///< per-tensor means
-    double c0 = 0.0;           ///< s_a * s_w
+    /** Value of one mag-plane grid step: s * top / 127 per operand. */
+    double gA = 0.0, gW = 0.0;
+    double c0 = 0.0;           ///< g_a * g_w: one unit of a grid dot
     double constTerm = 0.0;    ///< k * m_a * m_w
+    /** Largest |grid value| of each operand's dictionary
+     *  (TensorDictionary::maxGridMagnitude). */
+    int32_t maxA = 0, maxW = 0;
+    /** int32 accumulation length of the grid dot:
+     *  magKBlock(maxA, maxW), so no block's sum can overflow. */
+    size_t kBlock = 0;
     /** Unscaled magnitudes a^i + b, zero beyond indexCount(). */
     std::array<double, kMaxGaussianIndexes> mags{};
     /** prod[(ia << 3) | iw] = mags[ia] * mags[iw]. */
@@ -201,12 +209,13 @@ double indexDot(const QCode *a, const TensorDictionary &dict_a,
  * setIndexEngine() choice, or, under MOKEY_ENGINE=auto, a per-GEMM
  * decision from K and the weight-side plane residency:
  *
- *  - indexMatmulTransBMag(): streams the dense float magnitude
- *    planes branch-free (GPE collapses to one register-blocked
- *    dot, simd.hh magDotBlock);
+ *  - indexMatmulTransBMag(): streams the dense int16 grid
+ *    magnitude planes branch-free (GPE collapses to one exact
+ *    register-blocked integer dot, simd.hh magDotBlock);
  *  - indexMatmulTransBCounting(): streams the 2-byte index/theta
  *    planes and SIMD-accumulates per-pair signed histograms — the
- *    paper's counting dataflow, 2x fewer streamed bytes/element.
+ *    paper's counting dataflow, as many streamed bytes per element
+ *    as the mag plane.
  *
  * The counting engine merge-iterates the outlier sidecars (OPP); the
  * mag planes carry the outliers. Both tile the output for cache
@@ -237,8 +246,8 @@ Tensor indexMatmulTransBMag(const QuantizedTensor &a,
  * element, exactly the paper's multiplier-free dataflow. The
  * histogram phase is exact integer arithmetic, so it is identical
  * on every ISA; only the fixed-order collapse is FP. Streams 2 B
- * per element where the mag engine streams 4 B, and only requires
- * the byte planes (PlaneSet::Bytes) to be materialized.
+ * per element, like the mag engine, and only requires the byte
+ * planes (PlaneSet::Bytes) to be materialized.
  */
 Tensor indexMatmulTransBCounting(const QuantizedTensor &a,
                                  const QuantizedTensor &wt,
@@ -322,10 +331,10 @@ struct FusedGemmOut
  * across the pool: true for the weight-stationary split (chunks own
  * output columns), false for row bands (chunks own activation rows).
  * Weight-stationary when the streamed weight plane (kMagElemBytes =
- * 4 B per element for Mag, 2 B for Count) is at least 1 MiB: such a
+ * 2 B per element for Mag, 2 B for Count) is at least 1 MiB: such a
  * plane is read from memory once per call instead of once per band.
- * Every BERT-base weight site (2.25 MiB and up under Mag) splits;
- * the reduced model's planes (147 KiB at most) keep row bands.
+ * Every BERT-base weight site (1.125 MiB and up) splits; the
+ * 1/8-scale reduced model's planes (72 KiB at most) keep row bands.
  * Smaller planes stay cache-resident, so every thread re-reading
  * them is cheap and row bands save the split's second fan-out. A
  * pure function of its
@@ -359,8 +368,8 @@ bool weightStationarySplit(size_t n, size_t k, IndexEngine engine);
  *    they are cache-warm.
  *
  * Both run one tile kernel, in which the mag engine computes 4
- * activation rows x 4 weight rows per register-blocked pass
- * (simd.hh magDotBlock).
+ * activation rows x 4 weight rows per register-blocked pass of exact
+ * int16 x int16 -> int32 multiply-adds (simd.hh magDotBlock).
  *
  * Every output value, encoded plane byte, outlier entry and stats
  * count is bit-identical to the unfused sequence

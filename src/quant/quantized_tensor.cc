@@ -10,12 +10,12 @@
 namespace mokey
 {
 
-double
-magPlaneRowSum(const MagElem *mg, size_t n)
+int64_t
+magPlaneRowSum(const int16_t *mg, size_t n)
 {
-    double sum = 0.0;
+    int64_t sum = 0;
     for (size_t c = 0; c < n; ++c)
-        sum += static_cast<double>(mg[c]);
+        sum += mg[c];
     return sum;
 }
 
@@ -71,8 +71,8 @@ fillRowSums(CodePlanes &p, const ExpDictionary &exp)
  * Complete a planes view whose sidecar is built: fill
  * outlierColCount and, in debug builds, check the outlier slots. The
  * counting loop needs (index 0, theta 0) so an outlier's histogram
- * contribution vanishes; the mag dot needs a slot that decodes to the
- * centroid so the outlier is counted there exactly once.
+ * contribution vanishes; the mag dot needs the slot to hold exactly
+ * the centroid's grid value so the outlier is counted there once.
  */
 void
 sealOutliers(CodePlanes &p,
@@ -93,21 +93,10 @@ sealOutliers(CodePlanes &p,
                              r, o.col);
             if (p.mag.empty())
                 continue;
-            // The slot is (value - mean) / scale rounded to float:
-            // off by at most 2^-24 of its magnitude, which scale
-            // carries to 2^-24 |value - mean|; the double decode adds
-            // a few ulps of |value| + |mean| on top.
-            const double back =
-                static_cast<double>(p.magRow(r)[o.col]) *
-                    dict.scale() +
-                dict.mean();
-            MOKEY_ASSERT(std::abs(back - o.value) <=
-                             0x1p-24 * std::abs(o.value - dict.mean()) +
-                                 1e-12 * (std::abs(o.value) +
-                                          std::abs(dict.mean())),
-                         "outlier mag slot (%zu, %u) decodes to %.17g, "
-                         "not its centroid %.17g", r, o.col, back,
-                         o.value);
+            MOKEY_ASSERT(p.magRow(r)[o.col] == dict.outlierGrid(o.index),
+                         "outlier mag slot (%zu, %u) holds %d, not its "
+                         "centroid's grid value %d", r, o.col,
+                         p.magRow(r)[o.col], dict.outlierGrid(o.index));
         }
     }
 #endif
@@ -198,15 +187,14 @@ QuantizedTensor::materializeCodes() const
     MOKEY_ASSERT(p != nullptr,
                  "planes-first tensor lost its planes view");
     const bool from_bytes = planeSetCovers(p->sets, PlaneSet::Bytes);
-    std::vector<MagElem> table;
+    // Grid index lookup: ExpDictionary guarantees the grid magnitudes
+    // are distinct and >= 1, so a slot value names its index and sign.
+    std::vector<int8_t> index_of;
     if (!from_bytes) {
         const ExpDictionary &exp = dict.exp();
-        for (size_t i = 0; i < exp.indexCount(); ++i) {
-            table.push_back(static_cast<MagElem>(exp.magnitude(i)));
-            MOKEY_ASSERT(i == 0 || table[i - 1] < table[i],
-                         "dictionary magnitudes %zu and %zu coincide "
-                         "at float precision", i - 1, i);
-        }
+        index_of.assign(ExpDictionary::kGridTop + 1, -1);
+        for (size_t i = 0; i < exp.indexCount(); ++i)
+            index_of[exp.gridMagnitude(i)] = static_cast<int8_t>(i);
     }
     std::vector<QCode> out(nRows * nCols, QCode{0});
     for (size_t r = 0; r < nRows; ++r) {
@@ -217,13 +205,11 @@ QuantizedTensor::materializeCodes() const
             for (size_t c = 0; c < nCols; ++c)
                 dst[c] = QCode::gaussian(th[c] < 0, ix[c]);
         } else {
-            // Invert the mag plane against the float-rounded
-            // magnitude table: Gaussian entries are +/- dictionary
-            // magnitudes rounded to float, and the rounded table is
-            // strictly increasing, so an exact match recovers the
-            // original index. Outlier slots, found from the
-            // column-sorted sidecar, are filled below.
-            const MagElem *mg = p->magRow(r);
+            // Invert the mag plane: a Gaussian slot is +/- a grid
+            // magnitude, which the lookup maps back to its index.
+            // Outlier slots, found from the column-sorted sidecar,
+            // are filled below.
+            const int16_t *mg = p->magRow(r);
             const CodePlanes::Outlier *ot = p->outlierRow(r);
             const size_t n_ot = p->outlierCount(r);
             for (size_t c = 0, x = 0; c < nCols; ++c) {
@@ -231,16 +217,15 @@ QuantizedTensor::materializeCodes() const
                     ++x;
                     continue;
                 }
-                const bool neg = mg[c] < 0.0f;
-                const MagElem v = std::abs(mg[c]);
-                const size_t i = static_cast<size_t>(
-                    std::lower_bound(table.begin(), table.end(), v) -
-                    table.begin());
-                MOKEY_ASSERT(i < table.size() && table[i] == v,
-                             "mag plane entry (%zu, %zu) is not a "
-                             "float-rounded dictionary magnitude",
-                             r, c);
-                dst[c] = QCode::gaussian(neg, static_cast<uint8_t>(i));
+                const int v = std::abs(static_cast<int>(mg[c]));
+                const int i = v < static_cast<int>(index_of.size())
+                    ? index_of[v]
+                    : -1;
+                MOKEY_ASSERT(i >= 0,
+                             "mag plane entry (%zu, %zu) = %d is not a "
+                             "grid magnitude", r, c, mg[c]);
+                dst[c] = QCode::gaussian(mg[c] < 0,
+                                         static_cast<uint8_t>(i));
             }
         }
         const CodePlanes::Outlier *ot = p->outlierRow(r);
@@ -309,7 +294,7 @@ QuantizedTensor::planesShared(PlaneSet need) const
                                   : nullptr;
         int8_t *th = want_bytes ? p->theta.data() + r * nCols
                                 : nullptr;
-        MagElem *mg =
+        int16_t *mg =
             want_mag ? p->mag.data() + r * nCols : nullptr;
         for (size_t c = 0; c < nCols; ++c) {
             const QCode q = src[c];
@@ -319,8 +304,7 @@ QuantizedTensor::planesShared(PlaneSet need) const
                     th[c] = 0;
                 }
                 if (want_mag)
-                    mg[c] = static_cast<MagElem>(
-                        dict.outlierMagValue(q.outlierIndex()));
+                    mg[c] = dict.outlierGrid(q.outlierIndex());
                 p->outliers.push_back(
                     {static_cast<uint32_t>(c), q.outlierIndex(),
                      dict.outlierValue(q.outlierIndex())});
@@ -330,8 +314,8 @@ QuantizedTensor::planesShared(PlaneSet need) const
                     th[c] = static_cast<int8_t>(q.theta());
                 }
                 if (want_mag)
-                    mg[c] = static_cast<MagElem>(
-                        q.theta() * dict.exp().magnitude(q.index()));
+                    mg[c] = static_cast<int16_t>(
+                        q.theta() * dict.exp().gridMagnitude(q.index()));
             }
         }
         p->rowStart[r + 1] =
@@ -397,8 +381,8 @@ QuantizedTensor::planesFootprint() const
             (p.rowStart.size() + p.outlierColCount.size()) *
                 sizeof(uint32_t) +
             p.outliers.size() * sizeof(CodePlanes::Outlier) +
-            (p.magRowSum.size() + p.byteRowSum.size()) *
-                sizeof(double);
+            p.magRowSum.size() * sizeof(int64_t) +
+            p.byteRowSum.size() * sizeof(double);
     };
     f.resident = true;
     f.bytesResident = planeSetCovers(cached->sets, PlaneSet::Bytes);

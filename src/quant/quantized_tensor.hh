@@ -57,27 +57,25 @@ struct QCode
     bool operator==(const QCode &o) const { return raw == o.raw; }
 };
 
-/** Element type of the mag plane. */
-using MagElem = float;
-
 /**
- * Bytes per mag-plane element: the one constant every consumer that
- * sizes, splits or accounts a mag plane reads.
+ * Bytes per mag-plane element (one int16 grid value): the one
+ * constant every consumer that sizes, splits or accounts a mag plane
+ * reads.
  */
-constexpr size_t kMagElemBytes = sizeof(MagElem);
+constexpr size_t kMagElemBytes = sizeof(int16_t);
 
 /**
  * Which dense planes of a CodePlanes view are materialized. The two
  * engines stream different encodings of the same codes: the counting
  * engine reads the 2-byte (index, theta) byte planes, the magnitude
- * engine reads the kMagElemBytes (4 B) mag plane. Deriving only what
- * the active engine touches is the difference between 2 B and 6 B of
- * resident plane memory per element (see planesFootprint()).
+ * engine reads the kMagElemBytes (2 B) int16 mag plane. Deriving only
+ * what the active engine touches is the difference between 2 B and
+ * 4 B of resident plane memory per element (see planesFootprint()).
  */
 enum class PlaneSet : unsigned
 {
     Bytes = 1u,       ///< uint8 index + int8 theta planes
-    Mag = 2u,         ///< float signed-magnitude plane
+    Mag = 2u,         ///< int16 signed grid-magnitude plane
     All = Bytes | Mag ///< everything (tests, mixed-engine use)
 };
 
@@ -111,7 +109,7 @@ planeSetCovers(PlaneSet have, PlaneSet need)
  * The outlier pairs live in a per-row sidecar of (column, decoded
  * centroid) entries sorted by column — short lists the counting
  * engine's OPP merge-iterates. The mag plane needs no sidecar walk:
- * its outlier slots hold the centroid in Gaussian units.
+ * its outlier slots hold the centroid's grid value.
  */
 struct CodePlanes
 {
@@ -123,16 +121,18 @@ struct CodePlanes
     std::vector<int8_t> theta;  ///< +1/-1 sign plane (0 at outliers)
 
     /**
-     * Signed unscaled magnitude plane: theta * (a^index + b) for a
-     * Gaussian code, (centroid - mean) / scale for an outlier
-     * (TensorDictionary::outlierMagValue), each rounded to float.
-     * Every slot decodes as mag * scale + mean, so the mag engine's
-     * whole dot product, GPE histogram algebra and OPP alike,
-     * collapses to s_a*s_w * dot(magA, magW) plus the row, column
-     * and constant terms (see index_matmul.cc). The rounding moves a
-     * decoded value by at most 2^-24 of |value - mean|.
+     * Signed magnitude plane on the int16 grid of one step
+     * g = exp().gridUnit() = top / 127: theta * gridMagnitude(index)
+     * for a Gaussian code, round((centroid - mean) / (scale g)) for
+     * an outlier (TensorDictionary::outlierGrid). Every slot decodes
+     * as mag * scale * g + mean, so the mag engine's whole dot
+     * product, GPE histogram algebra and OPP alike, collapses to one
+     * exact integer dot(magA, magW) times (s_a g)(s_w g) plus the
+     * row, column and constant terms (see index_matmul.cc). The grid
+     * moves a value by at most half a step, scale * g / 2, in the
+     * engine only: codes and dictionaries keep their exact values.
      */
-    std::vector<MagElem> mag;
+    std::vector<int16_t> mag;
 
     /**
      * One sidecar entry: an outlier's column, its outlier-dictionary
@@ -157,9 +157,9 @@ struct CodePlanes
      * SoA2 + b*PoM2 sums of the reconstruction, in each engine's own
      * arithmetic order so consumers read instead of recompute:
      *
-     *  - magRowSum[r]  = serial in-order double sum of the float
-     *    mag-plane row (present iff the mag plane is), exactly the
-     *    mag engine's per-row fold;
+     *  - magRowSum[r]  = exact integer sum of the mag-plane row
+     *    (present iff the mag plane is), the mag engine's per-row
+     *    fold;
      *  - byteRowSum[r] = signed-index-histogram collapse of the byte
      *    planes against the dictionary magnitudes (present iff the
      *    byte planes are), exactly the counting engine's fold.
@@ -169,7 +169,7 @@ struct CodePlanes
      * weights the per-column GEMM fold — O(N*K) per call in the
      * layer-at-a-time path — collapses to one array read.
      */
-    std::vector<double> magRowSum;
+    std::vector<int64_t> magRowSum;
     std::vector<double> byteRowSum;
 
     /**
@@ -189,7 +189,7 @@ struct CodePlanes
     {
         return theta.data() + r * cols;
     }
-    const MagElem *magRow(size_t r) const
+    const int16_t *magRow(size_t r) const
     {
         return mag.data() + r * cols;
     }
@@ -216,14 +216,10 @@ void stitchOutliers(
     const TensorDictionary &dict);
 
 /**
- * The mag engine's pairing-independent row fold: serial in-order
- * double sum of one float mag-plane row, outlier slots included.
- * Kept as
- * a plain serial loop on purpose — the precomputed CodePlanes row
- * sums and the per-call GEMM folds must share one arithmetic order
- * for the fused and layer-at-a-time paths to stay bit-identical.
+ * The mag engine's pairing-independent row fold: the exact integer
+ * sum of one int16 mag-plane row, outlier slots included.
  */
-double magPlaneRowSum(const MagElem *mg, size_t n);
+int64_t magPlaneRowSum(const int16_t *mg, size_t n);
 
 /**
  * The counting engine's pairing-independent row fold: signed
@@ -245,7 +241,7 @@ struct PlanesFootprint
     bool pinned = false;   ///< pin flag set on this tensor
     bool resident = false; ///< planes currently materialized
     bool bytesResident = false; ///< index/theta byte planes built
-    bool magResident = false;   ///< float mag plane built
+    bool magResident = false;   ///< int16 mag plane built
     size_t codeBytes = 0;  ///< expanded 5 b codes (1 B each)
     size_t planeBytes = 0; ///< resident planes + sidecars
     /**
@@ -410,7 +406,7 @@ class QuantizedTensor
      * cached until the codes are next mutated (any non-const
      * accessor drops the cache). Only the planes in @p need are
      * guaranteed materialized: an engine that streams byte planes
-     * never pays for (or keeps) the 4 B/element mag plane. A request
+     * never pays for (or keeps) the 2 B/element mag plane. A request
      * for planes the cache lacks rebuilds it as the union of old and
      * new sets, so repeated mixed-engine use converges instead of
      * thrashing. Concurrent const callers are safe (the build is

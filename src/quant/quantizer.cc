@@ -27,6 +27,7 @@ LadderSpec::from(const TensorDictionary &dict)
     for (size_t i = 0; i < 8; ++i) {
         spec.mags[i] = exp.magnitude(std::min(i, h - 1));
         spec.foldMags[i] = i < h ? exp.magnitude(i) : 0.0;
+        spec.grid[i] = exp.gridMagnitude(std::min(i, h - 1));
     }
     spec.mean = dict.mean();
     spec.scale = dict.scale();
@@ -39,21 +40,22 @@ LadderSpec::from(const TensorDictionary &dict)
 
 size_t
 LadderSpec::encodeRow(const float *src, size_t n, uint8_t *ix,
-                      int8_t *th, MagElem *mg,
+                      int8_t *th, int16_t *mg,
                       std::vector<CodePlanes::Outlier> &ot) const
 {
-    const size_t n_ot =
-        encodeLadder(src, n, mags, h, mean, scale, cut, ix, th, mg);
+    const size_t n_ot = encodeLadder(src, n, mags, h, mean, scale, cut,
+                                     ix, th, mg, grid);
     if (n_ot == 0)
         return 0;
     // Resolve the rare outlier lanes scalar (the OPP side): the
     // kernel marked them with the zero-sign / zero-mag convention,
-    // which doubles as the scan key. A mag slot then gets its
-    // centroid in Gaussian units, past the point the scan reads.
+    // which doubles as the scan key (no Gaussian grid value is 0).
+    // A mag slot then gets its centroid's grid value, past the
+    // point the scan reads.
     ot.reserve(ot.size() + n_ot);
     size_t found = 0;
     for (size_t c = 0; c < n && found < n_ot; ++c) {
-        const bool is_ot = th ? th[c] == 0 : mg[c] == 0.0f;
+        const bool is_ot = th ? th[c] == 0 : mg[c] == 0;
         if (!is_ot)
             continue;
         const double v = src[c];
@@ -62,7 +64,7 @@ LadderSpec::encodeRow(const float *src, size_t n, uint8_t *ix,
                       static_cast<uint8_t>(oi),
                       dict->outlierValue(oi)});
         if (mg)
-            mg[c] = static_cast<MagElem>(dict->outlierMagValue(oi));
+            mg[c] = dict->outlierGrid(oi);
         ++found;
     }
     return n_ot;
@@ -145,7 +147,7 @@ Quantizer::encodeToPlanes(const Tensor &t,
                 wbytes ? p->index.data() + r * cols : nullptr;
             int8_t *th =
                 wbytes ? p->theta.data() + r * cols : nullptr;
-            MagElem *mg = wmag ? p->mag.data() + r * cols : nullptr;
+            int16_t *mg = wmag ? p->mag.data() + r * cols : nullptr;
             lad.encodeRow(src, cols, ix, th, mg, row_ot[r]);
             // Fold the pairing-independent row terms (SoA2 + b*PoM2)
             // into the same walk, in each engine's own arithmetic

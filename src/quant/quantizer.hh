@@ -40,6 +40,9 @@ struct LadderSpec
     /** The same table zero-padded past indexCount — the byte-plane
      * fold's collapse table (bytePlaneRowSum). */
     double foldMags[8] = {};
+    /** Grid magnitudes (ExpDictionary::gridMagnitude), padded like
+     * mags: what the mag plane stores per index. */
+    int16_t grid[8] = {};
     size_t h = 0; ///< real magnitude entries, in [1, 8]
     double mean = 0.0;
     double scale = 1.0;
@@ -55,11 +58,10 @@ struct LadderSpec
      * be null), then resolve the rare outlier lanes scalar,
      * appending (col, OT index, centroid) entries to @p ot in column
      * order and writing each outlier's mag slot
-     * (TensorDictionary::outlierMagValue). Returns the outlier
-     * count.
+     * (TensorDictionary::outlierGrid). Returns the outlier count.
      */
     size_t encodeRow(const float *src, size_t n, uint8_t *ix,
-                     int8_t *th, MagElem *mg,
+                     int8_t *th, int16_t *mg,
                      std::vector<CodePlanes::Outlier> &ot) const;
 };
 
@@ -103,7 +105,7 @@ class Quantizer
      * derivePlanes walk. The comparator ladder runs vectorized
      * (simd.hh encodeLadder) and only the planes in @p sets are
      * materialized, so an activation headed for the counting engine
-     * costs 2 B/element of writes instead of 1 B codes + 6 B
+     * costs 2 B/element of writes instead of 1 B codes + 4 B
      * derived planes. The result is a planes-first QuantizedTensor
      * (fromPlanes): bit-identical planes to
      * encode(t, dict).planes(sets), with the 5 b codes themselves

@@ -12,7 +12,7 @@ namespace mokey
 
 TensorDictionary::TensorDictionary()
     : expDict(1.179, -0.977, 8), m(0.0), s(1.0), cut(0.0),
-      fmt{16, 12}
+      maxGrid(ExpDictionary::kGridTop), fmt{16, 12}
 {
     buildLadder();
 }
@@ -55,6 +55,20 @@ TensorDictionary::build(const ExpDictionary &exp,
         d.ot = res.centroids;
     }
 
+    // Place the outlier entries on the mag engine's int16 grid. A
+    // slot past +/-32767 cannot be served, so say so at set-up
+    // rather than wrap inside a GEMM.
+    for (const double v : d.ot) {
+        const double g = (v - d.m) / (d.s * exp.gridUnit());
+        if (!(std::abs(g) <= 32767.0))
+            fatal("outlier centroid %g lies %.0f grid steps from the "
+                  "tensor mean (mean %g, scale %g); the int16 mag "
+                  "plane holds at most 32767", v, g, d.m, d.s);
+        d.otGrid.push_back(static_cast<int16_t>(std::lround(g)));
+        d.maxGrid = std::max<int32_t>(d.maxGrid,
+                                      std::abs(d.otGrid.back()));
+    }
+
     // Record the tensor's 16 b fixed-point format (Eq. 7/8). The
     // float-domain dictionary keeps analytic centroids; only the
     // fixed-point pipeline (§II-F) snaps values to this format.
@@ -85,10 +99,12 @@ TensorDictionary::outlierValue(size_t index) const
     return ot[index];
 }
 
-double
-TensorDictionary::outlierMagValue(size_t index) const
+int16_t
+TensorDictionary::outlierGrid(size_t index) const
 {
-    return (outlierValue(index) - m) / s;
+    MOKEY_ASSERT(index < otGrid.size(), "outlier index %zu out of range",
+                 index);
+    return otGrid[index];
 }
 
 size_t

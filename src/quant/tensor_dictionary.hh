@@ -91,11 +91,20 @@ class TensorDictionary
     double outlierValue(size_t index) const;
 
     /**
-     * Entry @p index in Gaussian units, (value - mean) / scale: what
-     * an outlier slot of a mag plane holds, so that mag * scale +
-     * mean decodes every slot of the plane.
+     * Entry @p index on the mag engine's int16 grid,
+     * round((value - mean) / (scale * exp().gridUnit())): what an
+     * outlier slot of a mag plane holds, so that
+     * mag * scale * gridUnit + mean decodes every slot of the plane.
      */
-    double outlierMagValue(size_t index) const;
+    int16_t outlierGrid(size_t index) const;
+
+    /**
+     * Largest |grid value| a mag-plane slot of this dictionary can
+     * hold: the outermost Gaussian magnitude (ExpDictionary::
+     * kGridTop) or the farthest outlier entry. Bounds the int32
+     * accumulation length of a GEMM (GemmConstants::kBlock).
+     */
+    int32_t maxGridMagnitude() const { return maxGrid; }
 
     /** Nearest outlier-dictionary index for @p v. */
     size_t nearestOutlierIndex(double v) const;
@@ -126,6 +135,8 @@ class TensorDictionary
     double s;
     double cut;
     std::vector<double> ot;
+    std::vector<int16_t> otGrid; ///< outlierGrid(i)
+    int32_t maxGrid;
     FixedFormat fmt;
     std::vector<LadderEntry> lad;
 

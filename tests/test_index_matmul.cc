@@ -39,102 +39,131 @@ struct Shape
     double tail_frac;
 };
 
-/** gamma_n = n u / (1 - n u), the n-operation rounding bound. */
-double
-gammaN(double n, double u)
+/** Grid value of code (r, c), from the code and its dictionary
+ * alone: what the mag plane must hold there. */
+int64_t
+gridValueAt(const QuantizedTensor &q, size_t r, size_t c)
 {
-    return n * u / (1.0 - n * u);
+    const QCode code = q.at(r, c);
+    const TensorDictionary &d = q.dictionary();
+    if (code.isOutlier())
+        return d.outlierGrid(code.outlierIndex());
+    return code.theta() * d.exp().gridMagnitude(code.index());
 }
 
 /**
- * The decode-then-multiply oracle of a mag-engine GEMM, with a
- * per-element error bound derived from the engine's arithmetic
- * (simd.hh magDotBlock + index_matmul.cc engineDot). Notation for
- * output (i, j): A_p, W_p the decoded operands (decodeAt), with
- * dictionary means mA, mW and scales sA, sW; a_p = (A_p - mA) / sA
- * and w_p likewise, the mag-plane values before they are rounded to
- * float; u = 2^-24 and ud = 2^-53 the float and double unit
- * roundoffs; nb = ceil(k / 256) the K-blocks.
- *
- *  E1 operand rounding. A plane stores float(a_p), off by at most
- *     u |a_p|, so its decode A^_p = sA float(a_p) + mA is off by at
- *     most u |A_p - mA|. The engine's row and column fold terms sum
- *     the same rounded planes, so it computes sum A^_p W^_p (up to
- *     E2-E3), and
- *       |sum A^W^ - sum AW| <= sum |A^ - A| |W^| + |A| |W^ - W|
- *         <= u sum (|A - mA| |W| + |A| |W - mW|)
- *            + u^2 sum |A - mA| |W - mW|.
- *  E2 float lanes. Each of the 16 lanes of each K-block accumulates
- *     at most 256 / 16 = 16 products with single-rounding FMAs from
- *     0: error <= gamma_16(u) times the sum of its |a^ w^| terms.
- *     Over all lanes and blocks, scaled by c0 = sA sW (c0 |a w| =
- *     |A - mA| |W - mW|, and |a^ w^| <= (1 + u)^2 |a w|):
- *       E2 = gamma_16(u) (1 + u)^2 sum |A - mA| |W - mW|.
- *  E3 double arithmetic: the fold of the 16 nb lane partials (block
- *     order per lane, then the 16-lane tree), the two k-term fold
- *     sums of the row and column terms, engineDot's four operations,
- *     and the few ulps by which decodeAt and mag * scale + mean
- *     round differently — at most
- *     2k + 16 nb + 16 double operations over terms bounded by
- *     (1 + gamma_16(u)) (1 + u)^2 (|A - mA| + |mA|)(|W - mW| + |mW|):
- *       E3 = gamma_{2k+16nb+16}(ud) (1 + gamma_16(u)) (1 + u)^2
- *            sum (|A - mA| + |mA|)(|W - mW| + |mW|).
- *  E4 the oracle's own serial double sum: gamma_k(ud) sum |A| |W|.
- *  E5 the final float cast of the engine output: u times its
- *     magnitude, <= u (|ref| + E1 + E2 + E3 + E4).
- *
- * bound = E1 + E2 + E3 + E4 + E5 per element. No slack factor: a
- * result outside it is an arithmetic change, not noise.
+ * The mag engine's scalar oracle: grid values taken from the codes
+ * (never from a plane), exact int64 dots and row sums, then
+ * engineDot's one double expression, in its order, on the same
+ * constants. The engine must equal it bit for bit.
  */
-struct MagOracle
+Tensor
+gridOracle(const QuantizedTensor &a, const QuantizedTensor &wt)
+{
+    const size_t m = a.rows(), n = wt.rows(), k = a.cols();
+    const GemmConstants ctx =
+        gemmConstants(a.dictionary(), wt.dictionary(), k);
+    std::vector<int64_t> ga(m * k), gw(n * k), ra(m, 0), rw(n, 0);
+    for (size_t i = 0; i < m; ++i)
+        for (size_t p = 0; p < k; ++p)
+            ra[i] += ga[i * k + p] = gridValueAt(a, i, p);
+    for (size_t j = 0; j < n; ++j)
+        for (size_t p = 0; p < k; ++p)
+            rw[j] += gw[j * k + p] = gridValueAt(wt, j, p);
+    Tensor out(m, n);
+    for (size_t i = 0; i < m; ++i) {
+        const double row_term =
+            ctx.gA * ctx.mW * static_cast<double>(ra[i]);
+        for (size_t j = 0; j < n; ++j) {
+            int64_t dot = 0;
+            for (size_t p = 0; p < k; ++p)
+                dot += ga[i * k + p] * gw[j * k + p];
+            const double col_term =
+                ctx.gW * ctx.mA * static_cast<double>(rw[j]);
+            out.at(i, j) = static_cast<float>(
+                ctx.c0 * static_cast<double>(dot) + row_term +
+                col_term + ctx.constTerm);
+        }
+    }
+    return out;
+}
+
+/**
+ * The decode-then-multiply product sum_p A_p W_p of the same codes
+ * (A_p = decodeAt), with a per-element bound on how far the mag
+ * engine may sit from it. The engine multiplies the grid-snapped
+ * operands A^_p = gA a^_p + mA, a^_p the slot's grid value, exactly
+ * (an int64 dot), so for output (i, j):
+ *
+ *  G  grid rounding. A^W^ - AW = (A^ - A) W^ + A (W^ - W), so
+ *       |sum A^W^ - sum AW| <= sum |A^ - A| |W^| + |A| |W^ - W|,
+ *     each |A^ - A| at most half a grid step gA / 2 and measured
+ *     here per element; the double evaluation of the differences
+ *     adds 2^-52 (|A| + |A^|) per factor.
+ *  D  the engine's double expression: c0, the row and column terms
+ *     and their sum, at most 16 roundings of 2^-53 over terms
+ *     bounded by sum (|A^ - mA| + |mA|)(|W^ - mW| + |mW|).
+ *  R  the oracle's own serial double sum: k 2^-53 sum |A| |W|.
+ *  F  the engine's final float cast: 2^-24 (|ref| + G + D + R).
+ *
+ * bound = G + D + R + F. No slack factor: a result outside it is an
+ * algebra change, not noise.
+ */
+struct GridBound
 {
     size_t n = 0;
     std::vector<double> ref;   ///< sum A_p W_p, serial double
     std::vector<double> bound; ///< the mag engine's bound vs ref
 };
 
-MagOracle
-magOracle(const QuantizedTensor &a, const QuantizedTensor &wt)
+GridBound
+gridBound(const QuantizedTensor &a, const QuantizedTensor &wt)
 {
     const size_t m = a.rows(), n = wt.rows(), k = a.cols();
-    const double u = 0x1p-24, ud = 0x1p-53;
-    const double mA = a.dictionary().mean(), mW = wt.dictionary().mean();
-    std::vector<double> da(m * k), dw(n * k);
-    for (size_t i = 0; i < m; ++i)
-        for (size_t p = 0; p < k; ++p)
-            da[i * k + p] = a.decodeAt(i, p);
-    for (size_t j = 0; j < n; ++j)
-        for (size_t p = 0; p < k; ++p)
-            dw[j * k + p] = wt.decodeAt(j, p);
-    const double nb = static_cast<double>((k + kMagBlockK - 1) / kMagBlockK);
-    const double g16 = gammaN(16, u);
-    const double g3 =
-        gammaN(2.0 * static_cast<double>(k) + 16.0 * nb + 16.0, ud) *
-        (1.0 + g16) * (1.0 + u) * (1.0 + u);
-    const double g4 = gammaN(static_cast<double>(k), ud);
-    MagOracle o;
+    const GemmConstants ctx =
+        gemmConstants(a.dictionary(), wt.dictionary(), k);
+    const double ud = 0x1p-53;
+    const auto operand = [k](const QuantizedTensor &q, double g,
+                             double mean, std::vector<double> &val,
+                             std::vector<double> &snap) {
+        val.resize(q.rows() * k);
+        snap.resize(q.rows() * k);
+        for (size_t r = 0; r < q.rows(); ++r) {
+            for (size_t p = 0; p < k; ++p) {
+                val[r * k + p] = q.decodeAt(r, p);
+                snap[r * k + p] =
+                    g * static_cast<double>(gridValueAt(q, r, p)) + mean;
+            }
+        }
+    };
+    std::vector<double> va, sa, vw, sw;
+    operand(a, ctx.gA, ctx.mA, va, sa);
+    operand(wt, ctx.gW, ctx.mW, vw, sw);
+    GridBound o;
     o.n = n;
     o.ref.resize(m * n);
     o.bound.resize(m * n);
     for (size_t i = 0; i < m; ++i) {
         for (size_t j = 0; j < n; ++j) {
-            double ref = 0.0, s1 = 0.0, s11 = 0.0, s3 = 0.0, s4 = 0.0;
+            double ref = 0.0, g = 0.0, d = 0.0, r = 0.0;
             for (size_t p = 0; p < k; ++p) {
-                const double A = da[i * k + p], W = dw[j * k + p];
-                const double ca = std::abs(A - mA), cw = std::abs(W - mW);
+                const double A = va[i * k + p], Ah = sa[i * k + p];
+                const double W = vw[j * k + p], Wh = sw[j * k + p];
+                const double dA = std::abs(Ah - A) +
+                    2 * ud * (std::abs(A) + std::abs(Ah));
+                const double dW = std::abs(Wh - W) +
+                    2 * ud * (std::abs(W) + std::abs(Wh));
                 ref += A * W;
-                s1 += ca * std::abs(W) + std::abs(A) * cw;
-                s11 += ca * cw;
-                s3 += (ca + std::abs(mA)) * (cw + std::abs(mW));
-                s4 += std::abs(A) * std::abs(W);
+                g += dA * std::abs(Wh) + std::abs(A) * dW;
+                d += (std::abs(Ah - ctx.mA) + std::abs(ctx.mA)) *
+                    (std::abs(Wh - ctx.mW) + std::abs(ctx.mW));
+                r += std::abs(A) * std::abs(W);
             }
-            const double e1 = u * s1 + u * u * s11;
-            const double e2 = g16 * (1.0 + u) * (1.0 + u) * s11;
-            const double e3 = g3 * s3;
-            const double e4 = g4 * s4;
-            const double e5 = u * (std::abs(ref) + e1 + e2 + e3 + e4);
+            d *= 16 * ud;
+            r *= static_cast<double>(k) * ud;
             o.ref[i * n + j] = ref;
-            o.bound[i * n + j] = e1 + e2 + e3 + e4 + e5;
+            o.bound[i * n + j] =
+                g + d + r + 0x1p-24 * (std::abs(ref) + g + d + r);
         }
     }
     return o;
@@ -142,8 +171,8 @@ magOracle(const QuantizedTensor &a, const QuantizedTensor &wt)
 
 /** Every element of a mag-engine output lies within its bound. */
 void
-expectWithinMagBound(const Tensor &got, const MagOracle &o,
-                     const std::string &what)
+expectWithinGridBound(const Tensor &got, const GridBound &o,
+                      const std::string &what)
 {
     ASSERT_EQ(got.size(), o.ref.size()) << what;
     for (size_t e = 0; e < o.ref.size(); ++e)
@@ -154,15 +183,15 @@ expectWithinMagBound(const Tensor &got, const MagOracle &o,
 }
 
 /**
- * A mag-engine output against another engine's output @p other,
- * which is held to the oracle within @p other_tol plus its own float
- * cast: by the triangle inequality the two outputs then differ by at
- * most the mag bound plus that tolerance.
+ * A mag-engine output against another algebra's output @p other,
+ * which is held to the decoded product within @p other_tol plus its
+ * own float cast: by the triangle inequality the two outputs then
+ * differ by at most the grid bound plus that tolerance.
  */
 void
-expectNearMagBound(const Tensor &mag, const Tensor &other,
-                   const MagOracle &o, double other_tol,
-                   const std::string &what)
+expectNearGridBound(const Tensor &mag, const Tensor &other,
+                    const GridBound &o, double other_tol,
+                    const std::string &what)
 {
     ASSERT_EQ(mag.size(), o.ref.size()) << what;
     ASSERT_EQ(other.size(), o.ref.size()) << what;
@@ -214,8 +243,10 @@ TEST_P(IndexMatmulProperty, MatchesDecodedReferenceExactly)
 
     IndexMatmulStats stats;
     const Tensor fast = indexMatmulTransB(a, wt, &stats);
-    // Per-element bound derived from the mag engine's arithmetic.
-    expectWithinMagBound(fast, magOracle(a, wt), "engine vs oracle");
+    // Exactly the int64 grid oracle, and within the grid's rounding
+    // of the decode-then-multiply product.
+    ASSERT_EQ(fast.raw(), gridOracle(a, wt).raw());
+    expectWithinGridBound(fast, gridBound(a, wt), "engine vs decoded");
     EXPECT_EQ(stats.gaussianPairs + stats.outlierPairs,
               static_cast<uint64_t>(s.m) * s.n * s.k);
 }
@@ -305,12 +336,12 @@ TEST_P(EngineParity, TracksSeedReferenceAlgorithm)
     const Tensor ref = indexMatmulTransBReference(a, wt, &ref_stats);
     const Tensor eng = indexMatmulTransB(a, wt, &eng_stats);
 
-    // The seed's double CRF algebra stays within 1e-9 of the oracle;
-    // the engine within its derived float bound.
+    // The seed's double CRF algebra stays within 1e-9 of the decoded
+    // product; the engine within its derived grid bound.
     const double seed_tol =
         1e-9 * std::max(1.0, frobeniusNorm(ref)) + 1e-6;
-    expectNearMagBound(eng, ref, magOracle(a, wt), seed_tol,
-                       "engine vs seed");
+    expectNearGridBound(eng, ref, gridBound(a, wt), seed_tol,
+                        "engine vs seed");
     // The engine routes exactly the same pairs to GPE vs OPP as the
     // seed per-element branch did.
     EXPECT_EQ(eng_stats.gaussianPairs, ref_stats.gaussianPairs);
@@ -492,12 +523,12 @@ TEST_P(EngineParity, CountingRoutesPairsLikeMagEngine)
 
     EXPECT_EQ(count_stats.gaussianPairs, mag_stats.gaussianPairs);
     EXPECT_EQ(count_stats.outlierPairs, mag_stats.outlierPairs);
-    // Counting keeps double arithmetic (1e-9 of the oracle, as in
-    // CountingMatchesDecodedReference); mag its derived float bound.
+    // Counting keeps double arithmetic (1e-9 of the decoded product,
+    // as in CountingMatchesDecodedReference); mag its grid bound.
     const double count_tol =
         1e-9 * std::max(1.0, frobeniusNorm(count)) + 1e-6;
-    expectNearMagBound(mag, count, magOracle(a, wt), count_tol,
-                       "mag vs count");
+    expectNearGridBound(mag, count, gridBound(a, wt), count_tol,
+                        "mag vs count");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -544,8 +575,8 @@ TEST(EngineSelector, DispatchesBothEntryPoints)
 
 TEST(EngineSelector, CountingStreamsOnlyBytePlanes)
 {
-    // The counting engine must not materialize the 4 B/element mag
-    // plane — byte-traffic is its reason to exist.
+    // The counting engine must not materialize the 2 B/element mag
+    // plane it never reads.
     ExpDictionary exp(1.179, -0.977, 8);
     Quantizer quantizer(exp);
     Rng rng(663);
@@ -1061,109 +1092,218 @@ TEST(GemmConstantsCache, EvictionKeepsResultsExact)
     }
 }
 
-/** Rows of float operands for the mag kernel tests: gaussian
- * values with zeros at random slots (sparse rows, outlier-free
- * planes). */
-std::vector<float>
-kernelRows(Rng &rng, size_t rows, size_t k, double mean, double std)
+/** The int64 oracle of magDotBlock: rows x cols exact dots. */
+std::vector<int64_t>
+int64Dots(const std::vector<int16_t> &a, const std::vector<int16_t> &w,
+          size_t rows, size_t cols, size_t k)
 {
-    std::vector<float> v(rows * k);
-    for (float &x : v)
-        x = static_cast<float>(rng.gaussian(mean, std));
-    for (size_t z = 0; z < k / 10 + 1; ++z)
-        v[rng.uniformInt(v.size())] = 0.0f;
-    return v;
+    std::vector<int64_t> d(rows * cols, 0);
+    for (size_t i = 0; i < rows; ++i)
+        for (size_t j = 0; j < cols; ++j)
+            for (size_t p = 0; p < k; ++p)
+                d[i * cols + j] +=
+                    int64_t{a[i * k + p]} * w[j * k + p];
+    return d;
 }
 
-const size_t kKernelKs[] = {1, 15, 16, 17, 255, 256, 257, 768, 3071};
-
-TEST(MagDotBlock, EveryTileAndTailBitIdenticalToOneByOne)
+/** Every body this host can run, generic first. */
+std::vector<SimdIsa>
+hostIsas()
 {
-    // The kernel's contract (simd.hh): an output's arithmetic is a
-    // function of k alone. Every element of a 4 x 4 register tile
-    // and of every row and column tail must equal the same dot
-    // computed as a 1 x 1 block, on and off the 16-lane and
-    // 256-element block grids.
+    std::vector<SimdIsa> out;
+    for (const SimdIsa isa : {SimdIsa::Generic, SimdIsa::Avx2,
+                              SimdIsa::Avx512Bw, SimdIsa::Avx512Vnni})
+        if (static_cast<int>(isa) <= static_cast<int>(magDotIsa()))
+            out.push_back(isa);
+    return out;
+}
+
+/**
+ * Each body on every block shape rows x cols in [1, 9]^2 (4 x 4
+ * register tiles and every row and column tail), exactly the int64
+ * oracle, with kBlock from magKBlock of the operands' bounds.
+ */
+void
+expectEveryBodyExact(const std::vector<int16_t> &a,
+                     const std::vector<int16_t> &w, size_t k,
+                     size_t kBlock, const std::string &what)
+{
     constexpr size_t kMax = 9;
-    Rng rng(4242);
-    for (const size_t k : kKernelKs) {
-        const auto a = kernelRows(rng, kMax, k, 0.2, 2.0);
-        const auto w = kernelRows(rng, kMax, k, 0.0, 1.5);
-        double one[kMax][kMax];
-        for (size_t i = 0; i < kMax; ++i)
-            for (size_t j = 0; j < kMax; ++j)
-                magDotBlock(a.data() + i * k, k, 1, w.data() + j * k, k,
-                            1, k, &one[i][j], 1);
+    const std::vector<int64_t> want = int64Dots(a, w, kMax, kMax, k);
+    for (const SimdIsa isa : hostIsas()) {
         for (size_t rows = 1; rows <= kMax; ++rows) {
             for (size_t cols = 1; cols <= kMax; ++cols) {
-                std::vector<double> dots(rows * cols);
-                magDotBlock(a.data(), k, rows, w.data(), k, cols, k,
-                            dots.data(), cols);
+                std::vector<int64_t> got(rows * cols);
+                magDotBlockOn(isa, a.data(), k, rows, w.data(), k, cols,
+                              k, kBlock, got.data(), cols);
                 for (size_t i = 0; i < rows; ++i)
                     for (size_t j = 0; j < cols; ++j)
-                        ASSERT_EQ(dots[i * cols + j], one[i][j])
-                            << "k=" << k << " block " << rows << "x"
-                            << cols << " elem (" << i << "," << j
-                            << ")";
+                        ASSERT_EQ(got[i * cols + j], want[i * kMax + j])
+                            << what << " " << simdIsaName(isa)
+                            << " k=" << k << " block " << rows << "x"
+                            << cols << " elem (" << i << "," << j << ")";
             }
         }
     }
 }
 
-TEST(MagDotBlock, EveryIsaBodyMatchesOracle)
+const size_t kKernelKs[] = {1,  2,  31,  32,  33,   63,
+                            64, 65, 767, 768, 3071, 3072};
+
+TEST(MagDotBlock, EveryIsaBodyEqualsInt64Oracle)
 {
-    // Each body this host can run, called directly: bit-identical to
-    // the dispatched body (all follow one arithmetic, and the generic
-    // body's std::fma rounds once like the vector FMAs), and within
-    // the float-accumulation bound of an exact-product double oracle.
-    // Each lane of each 256-block sums at most 16 FMAs from 0
-    // (gamma_16 in float), and the lane partials, <= (1 + gamma_16)
-    // times their terms, fold in double; the oracle's own serial
-    // double sum adds gamma_k. So
-    //   |dot - ref| <= (gamma_16(u) + 2 gamma_{k+16}(ud)
-    //                   (1 + gamma_16(u))) sum |a_p w_p|.
-    constexpr size_t kRows = 9, kCols = 7;
-    const double u = 0x1p-24, ud = 0x1p-53;
+    // The kernel's contract (simd.hh): the exact integer dot, in
+    // every tile shape and tail, on every body, on and off the
+    // 32-element vector grid. Slots reach +/-32767 on one operand
+    // at a time, so magKBlock stays valid; the other operand holds
+    // Gaussian-range grid values.
     std::cout << "mag kernel dispatches to "
               << simdIsaName(magDotIsa()) << "\n";
+    constexpr size_t kRows = 9;
     Rng rng(977);
+    const auto plane = [&rng](size_t k, int bound, bool extremes) {
+        std::vector<int16_t> v(kRows * k);
+        for (int16_t &x : v)
+            x = static_cast<int16_t>(
+                static_cast<int>(rng.uniformInt(2 * bound + 1)) - bound);
+        if (extremes)
+            for (size_t z = 0; z < v.size(); z += 7)
+                v[z] = (z / 7) % 2 ? 32767 : -32767;
+        return v;
+    };
     for (const size_t k : kKernelKs) {
-        const auto a = kernelRows(rng, kRows, k, 0.2, 2.0);
-        const auto w = kernelRows(rng, kCols, k, 0.0, 1.5);
-        std::vector<double> want(kRows * kCols);
-        magDotBlock(a.data(), k, kRows, w.data(), k, kCols, k,
-                    want.data(), kCols);
-        const double g = gammaN(16, u) +
-            2.0 * gammaN(static_cast<double>(k) + 16.0, ud) *
-                (1.0 + gammaN(16, u));
-        for (const SimdIsa isa :
-             {SimdIsa::Generic, SimdIsa::Avx2, SimdIsa::Avx512}) {
-            if (static_cast<int>(isa) > static_cast<int>(magDotIsa()))
-                continue;
-            std::vector<double> got(kRows * kCols);
-            magDotBlockOn(isa, a.data(), k, kRows, w.data(), k, kCols,
-                          k, got.data(), kCols);
-            for (size_t i = 0; i < kRows; ++i) {
-                for (size_t j = 0; j < kCols; ++j) {
-                    const std::string at = std::string(simdIsaName(isa)) +
-                        " k=" + std::to_string(k) + " (" +
-                        std::to_string(i) + "," + std::to_string(j) + ")";
-                    double ref = 0.0, mass = 0.0;
-                    for (size_t p = 0; p < k; ++p) {
-                        // float x float is exact in double.
-                        const double t =
-                            static_cast<double>(a[i * k + p]) *
-                            w[j * k + p];
-                        ref += t;
-                        mass += std::abs(t);
-                    }
-                    const double d = got[i * kCols + j];
-                    ASSERT_EQ(d, want[i * kCols + j]) << at;
-                    ASSERT_LE(std::abs(d - ref), g * mass) << at;
-                }
-            }
+        const auto narrow_a = plane(k, 127, false);
+        const auto narrow_w = plane(k, 127, false);
+        const auto wide_a = plane(k, 64, true);
+        const auto wide_w = plane(k, 64, true);
+        expectEveryBodyExact(narrow_a, narrow_w, k, magKBlock(127, 127),
+                             "narrow x narrow");
+        expectEveryBodyExact(wide_a, narrow_w, k, magKBlock(32767, 127),
+                             "wide x narrow");
+        expectEveryBodyExact(narrow_a, wide_w, k, magKBlock(127, 32767),
+                             "narrow x wide");
+    }
+}
+
+TEST(MagDotBlock, KBlockBoundsTheInt32Sum)
+{
+    // Both operands at +/-32767 in the first two slots of every
+    // 32-element block (one vpmaddwd pair of two extreme products,
+    // 2 x 32767^2 < 2^31) and small elsewhere: each 32-block's sum
+    // fits in int32, a 64-block's does not. kBlock = 32 must still
+    // give the exact sums on every body.
+    constexpr size_t kRows = 9;
+    for (const size_t k : {size_t{64}, size_t{65}, size_t{767}}) {
+        std::vector<int16_t> a(kRows * k), w(kRows * k);
+        Rng rng(31 + k);
+        for (size_t i = 0; i < a.size(); ++i) {
+            const bool ext = (i % k) % 32 < 2;
+            a[i] = ext ? 32767 : static_cast<int16_t>(rng.uniformInt(9));
+            w[i] = ext ? (i % 3 ? 32767 : -32767)
+                       : static_cast<int16_t>(rng.uniformInt(9));
+        }
+        expectEveryBodyExact(a, w, k, 32, "extreme pairs");
+    }
+    EXPECT_EQ(magKBlock(127, 127), (INT32_MAX / (127 * 127)) / 32 * 32);
+    EXPECT_EQ(magKBlock(6000, 6000), 32u);
+    // Re-exec for the death test: a plain fork of this process, whose
+    // pool threads ran the tests before, can hang under TSan.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(magKBlock(32767, 32767), "overflow an int32 sum");
+}
+
+TEST(MagDotBlock, EveryKBlockGivesTheSameSums)
+{
+    // Integer sums are associative: any legal K-block length gives
+    // the same bits.
+    constexpr size_t kRows = 9;
+    const size_t k = 1000;
+    Rng rng(5);
+    std::vector<int16_t> a(kRows * k), w(kRows * k);
+    for (int16_t &x : a)
+        x = static_cast<int16_t>(static_cast<int>(rng.uniformInt(255)) - 127);
+    for (int16_t &x : w)
+        x = static_cast<int16_t>(static_cast<int>(rng.uniformInt(255)) - 127);
+    for (const size_t kb : {size_t{32}, size_t{64}, size_t{96},
+                            size_t{256}, size_t{992}, size_t{1024},
+                            magKBlock(127, 127)})
+        expectEveryBodyExact(a, w, k, kb, "kBlock=" + std::to_string(kb));
+}
+
+/**
+ * Dictionaries whose outlier entries sit ~6700 grid steps out force
+ * kBlock = 32: operands made of those outliers overflow an int32 sum
+ * of 64 products. The engine, fused and unfused, under both splits
+ * and several thread counts, must still equal the int64 grid oracle.
+ */
+TEST(MagKBlock, FarOutliersForceKBlock32AndStayExact)
+{
+    ExpDictionary exp(1.179, -0.977, 8);
+    Quantizer quantizer(exp);
+    Rng rng(404);
+    // Profile: N(0, 1) plus one spike at +/-150 sigma-ish.
+    const auto dict = [&](float spike) {
+        Tensor t(16, 2048, rng.gaussianVector(16 * 2048, 0.0, 1.0));
+        t.raw()[777] = spike;
+        return quantizer.buildDictionary(t);
+    };
+    const TensorDictionary da = dict(150.0f);
+    const TensorDictionary dw = dict(-150.0f);
+    ASSERT_GT(da.maxGridMagnitude(), 6000);
+    ASSERT_GT(dw.maxGridMagnitude(), 6000);
+
+    const ThreadCountGuard thread_guard;
+    for (const size_t n : {size_t{40}, size_t{768}}) {
+        const size_t m = 6, k = 1000;
+        // Mostly spikes: whole rows of far outliers, then Gaussian.
+        Tensor ta(m, k, rng.gaussianVector(m * k, 0.0, 1.0));
+        Tensor tw(n, k, rng.gaussianVector(n * k, 0.0, 1.0));
+        for (size_t p = 0; p < k; ++p) {
+            for (size_t i = 0; i < m; i += 2)
+                ta.at(i, p) = 150.0f;
+            for (size_t j = 0; j < n; j += 3)
+                tw.at(j, p) = -150.0f;
+        }
+        const QuantizedTensor qa = quantizer.encode(ta, da);
+        const QuantizedTensor qw = quantizer.encode(tw, dw);
+        const GemmConstants ctx = gemmConstants(da, dw, k);
+        ASSERT_EQ(ctx.kBlock, 32u);
+        // Not vacuous: the first 64 products of row 0 x row 0 alone
+        // leave int32.
+        int64_t first64 = 0;
+        for (size_t p = 0; p < 64; ++p)
+            first64 += gridValueAt(qa, 0, p) * gridValueAt(qw, 0, p);
+        ASSERT_GT(std::abs(first64), int64_t{INT32_MAX});
+
+        const Tensor want = gridOracle(qa, qw);
+        for (const size_t t : {size_t{1}, size_t{4}}) {
+            setThreadCount(t);
+            const std::string at = "n=" + std::to_string(n) +
+                " threads=" + std::to_string(t);
+            ASSERT_EQ(indexMatmulTransBMag(qa, qw).raw(), want.raw()) << at;
+            ASSERT_EQ(indexMatmulTransBMagScalar(qa, qw).raw(), want.raw())
+                << at;
+            ASSERT_EQ(indexMatmulTransBFused(qa, qw, IndexEngine::Mag,
+                                             nullptr, nullptr,
+                                             PlaneSet::Mag, true)
+                          .dense.raw(),
+                      want.raw())
+                << at;
         }
     }
+}
+
+TEST(MagKBlock, OutlierBeyondInt16GridFailsSetUp)
+{
+    // One spike among 400k N(0, 1) values sits ~630 sigma out: past
+    // 32767 grid steps, which the dictionary build refuses.
+    ExpDictionary exp(1.179, -0.977, 8);
+    Quantizer quantizer(exp);
+    Rng rng(9);
+    Tensor t(1, 400000, rng.gaussianVector(400000, 0.0, 1.0));
+    t.raw()[12345] = 1.0e4f;
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(quantizer.buildDictionary(t), "int16 mag plane");
 }
 
 TEST(WeightStationarySplit, RuleFollowsWeightPlaneSize)
@@ -1341,8 +1481,9 @@ TEST(WeightStationaryFused, BitIdenticalToScalarThenEncode)
 
 /**
  * The mag engine folds every outlier into its dense dot: an outlier
- * slot of the mag plane holds (centroid - mean) / scale. Held here
- * against the decode-then-multiply oracle, which never reads a
+ * slot of the mag plane holds the centroid's grid value. Held here
+ * exactly to the int64 grid oracle, and within the grid's rounding
+ * of the decode-then-multiply product, neither of which reads a
  * plane, on operands whose outliers sit at known columns — only A
  * has one, only W has one, or both do — with each operand's planes
  * built both ways (derived from codes, and encoded straight from
@@ -1361,9 +1502,9 @@ TEST(MagOutlierFold, MatchesDecodedOracleAtForcedOutlierColumns)
         size_t n, k;
         bool weightStationary;
     };
-    // 768 x 384 is the smallest of these planes at or above the 1 MiB
-    // weight-stationary cut-off at 4 B per mag element.
-    for (const NK s : {NK{40, 200, false}, NK{768, 384, true},
+    // 768 x 768 is the smallest of these planes at or above the 1 MiB
+    // weight-stationary cut-off at 2 B per mag element.
+    for (const NK s : {NK{40, 200, false}, NK{768, 768, true},
                        NK{40, 520, false}}) {
         ASSERT_EQ(weightStationarySplit(s.n, s.k, IndexEngine::Mag),
                   s.weightStationary);
@@ -1424,12 +1565,13 @@ TEST(MagOutlierFold, MatchesDecodedOracleAtForcedOutlierColumns)
                         want_ot += qa.at(i, c).isOutlier() ||
                             qw.at(j, c).isOutlier();
 
-            const MagOracle oracle = magOracle(qa, qw);
+            const Tensor exact = gridOracle(qa, qw);
+            const GridBound bound = gridBound(qa, qw);
             const auto check = [&](const Tensor &got,
                                    const IndexMatmulStats &st,
                                    const char *path) {
-                expectWithinMagBound(got, oracle,
-                                     what + " " + path);
+                ASSERT_EQ(got.raw(), exact.raw()) << what << " " << path;
+                expectWithinGridBound(got, bound, what + " " + path);
                 EXPECT_EQ(st.outlierPairs.load(), want_ot)
                     << what << " " << path;
                 EXPECT_EQ(st.gaussianPairs.load(),

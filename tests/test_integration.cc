@@ -6,11 +6,14 @@
  */
 
 #include <cmath>
+#include <cstdio>
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "model/pipeline.hh"
 #include "model/tasks.hh"
+#include "quant/baselines.hh"
+#include "quant/golden_dictionary.hh"
 #include "quant/fixed_pipeline.hh"
 #include "quant/memory_codec.hh"
 #include "sim/compression.hh"
@@ -266,6 +269,76 @@ TEST(TaskIntegration, QuantizedPipelineOnAllThreeTasks)
         EXPECT_GT(fp, 40.0) << taskName(kind);
         EXPECT_NEAR(q, fp, 25.0) << taskName(kind);
     }
+}
+
+/**
+ * Served accuracy against an independent oracle. On the 12-layer
+ * H=192 stand-in for BERT-base, the served forward() (weights-only and
+ * W+A) is held to the fake-quant Mokey model: the float model with
+ * every weight quantize-dequantized and, for W+A, every GEMM input
+ * re-quantized through a dictionary built from that tensor alone
+ * (makeMokeyBaseline via the ActivationTransform hook). Errors use
+ * mokey-bench's err_vs_float: mean |q - f| / mean |f| against
+ * Transformer::forward on the same inputs.
+ *
+ * Gated on the served/oracle ratio, not on absolute error: this
+ * synthetic model amplifies any perturbation with depth, so only a
+ * same-model oracle separates a serving bug from quantization itself.
+ * The bounds are the ratios the float-plane mag engine measured
+ * before the int16 grid engine replaced it (WO 1.000000, W+A
+ * 0.912900, identical at 1 and 4 threads) plus 5%. The grid engine
+ * snaps every mag slot to top/127 steps and must stay inside them.
+ */
+TEST(ServedAccuracy, WithinOracleRatios)
+{
+    const Transformer model(reduced(bertBase(), 4), 4242);
+    const Quantizer qz(ExpDictionary::fit(GoldenDictionary::generate({})));
+    QuantizedTransformer pipe(model, qz);
+    pipe.quantizeWeights();
+    std::vector<Tensor> profile;
+    for (uint64_t i = 0; i < 4; ++i)
+        profile.push_back(model.makeInput(32, 100 + i));
+    pipe.profileActivations(profile);
+
+    const auto mokey = makeMokeyBaseline(qz);
+    Transformer fq(model);
+    for (auto &layer : fq.weights())
+        for (Tensor *t : {&layer.wq, &layer.wk, &layer.wv, &layer.wo,
+                          &layer.w1, &layer.w2})
+            *t = mokey->quantizeWeights(*t);
+    const ActivationTransform fq_acts = [&](const TensorId &, Tensor &t) {
+        t = mokey->quantizeActivations(t);
+    };
+
+    struct Err
+    {
+        double abs = 0.0, ref = 0.0;
+        void add(const Tensor &q, const Tensor &f)
+        {
+            for (size_t i = 0; i < q.size(); ++i) {
+                abs += std::fabs(double(q.raw()[i]) - f.raw()[i]);
+                ref += std::fabs(double(f.raw()[i]));
+            }
+        }
+        double value() const { return abs / ref; }
+    } served_wo, served_wa, oracle_wo, oracle_wa;
+    for (uint64_t i = 0; i < 4; ++i) {
+        const Tensor in = model.makeInput(32, 500 + i);
+        const Tensor f = model.forward(in);
+        served_wo.add(pipe.forward(in, QuantMode::WeightsOnly), f);
+        served_wa.add(pipe.forward(in, QuantMode::WeightsAndActivations),
+                      f);
+        oracle_wo.add(fq.forward(in), f);
+        oracle_wa.add(fq.forward(in, nullptr, fq_acts), f);
+    }
+    const double wo = served_wo.value() / oracle_wo.value();
+    const double wa = served_wa.value() / oracle_wa.value();
+    std::printf("served WO %.5f W+A %.5f; oracle WO %.5f W+A %.5f; "
+                "ratios WO %.6f W+A %.6f\n",
+                served_wo.value(), served_wa.value(), oracle_wo.value(),
+                oracle_wa.value(), wo, wa);
+    EXPECT_LE(wo, 1.000000 * 1.05);
+    EXPECT_LE(wa, 0.912900 * 1.05);
 }
 
 } // anonymous namespace

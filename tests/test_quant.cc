@@ -561,7 +561,7 @@ TEST_F(CodecFixture, ParallelCodecHandlesDenseOutliers)
 TEST_F(CodecFixture, BytePlanesBuildWithoutMag)
 {
     // The counting engine's contract: byte planes on demand, never
-    // paying for (or keeping) the 4 B/element mag plane.
+    // paying for (or keeping) the 2 B/element mag plane.
     const QuantizedTensor q = makeQuantized(24, 96, 515, 0.05);
     const QuantizedTensor &cq = q;
 
@@ -802,8 +802,11 @@ TEST(EncodeLadderKernel, ExactTiePicksLowerIndex)
     // scalar two-subtraction compare (ties to the lower index).
     const ExpDictionary exp(2.0, 0.0, 8); // mags 1, 2, 4, ..., 128
     double mags[8];
-    for (size_t i = 0; i < 8; ++i)
+    int16_t grid[8];
+    for (size_t i = 0; i < 8; ++i) {
         mags[i] = exp.magnitude(i);
+        grid[i] = exp.gridMagnitude(i);
+    }
 
     // Ties at every midpoint, the exact centroids, off-tie probes on
     // both sides, and enough filler to engage the vector bodies and
@@ -826,11 +829,11 @@ TEST(EncodeLadderKernel, ExactTiePicksLowerIndex)
     const size_t n = src.size();
     std::vector<uint8_t> idx(n);
     std::vector<int8_t> theta(n);
-    std::vector<float> mag(n);
+    std::vector<int16_t> mag(n);
     const size_t ot = encodeLadder(
         src.data(), n, mags, 8, 0.0, 1.0,
         std::numeric_limits<double>::infinity(), idx.data(),
-        theta.data(), mag.data());
+        theta.data(), mag.data(), grid);
     EXPECT_EQ(ot, 0u);
 
     for (size_t c = 0; c < n; ++c) {
@@ -838,8 +841,7 @@ TEST(EncodeLadderKernel, ExactTiePicksLowerIndex)
         const size_t want = exp.nearestIndex(std::abs(u));
         EXPECT_EQ(idx[c], want) << "src=" << src[c];
         EXPECT_EQ(theta[c], u < 0.0 ? -1 : 1) << "src=" << src[c];
-        EXPECT_EQ(mag[c], static_cast<float>((u < 0.0 ? -1.0 : 1.0) *
-                                             exp.magnitude(want)))
+        EXPECT_EQ(mag[c], (u < 0.0 ? -1 : 1) * exp.gridMagnitude(want))
             << "src=" << src[c];
     }
     // Spot-check the tie semantics directly: 1.5 sits exactly
@@ -855,8 +857,11 @@ TEST(EncodeLadderKernel, OutlierThresholdIsStrict)
     // vector body and the scalar tail.
     const ExpDictionary exp(2.0, 0.0, 8);
     double mags[8];
-    for (size_t i = 0; i < 8; ++i)
+    int16_t grid[8];
+    for (size_t i = 0; i < 8; ++i) {
         mags[i] = exp.magnitude(i);
+        grid[i] = exp.gridMagnitude(i);
+    }
     const double cut = 4.0;
     std::vector<float> src(19, 1.0f);
     src[3] = 4.0f;                         // == cut: Gaussian
@@ -864,24 +869,24 @@ TEST(EncodeLadderKernel, OutlierThresholdIsStrict)
     src[18] = -5.0f;                       // tail element, outlier
     std::vector<uint8_t> idx(src.size());
     std::vector<int8_t> theta(src.size());
-    std::vector<float> mag(src.size());
+    std::vector<int16_t> mag(src.size());
     const size_t ot =
         encodeLadder(src.data(), src.size(), mags, 8, 0.0, 1.0, cut,
-                     idx.data(), theta.data(), mag.data());
+                     idx.data(), theta.data(), mag.data(), grid);
     EXPECT_EQ(ot, 2u);
     EXPECT_EQ(theta[3], 1);
     EXPECT_EQ(idx[3], 2u); // |4| -> index 2 (mag 4)
     EXPECT_EQ(theta[7], 0);
     EXPECT_EQ(idx[7], 0u);
-    EXPECT_EQ(mag[7], 0.0f);
+    EXPECT_EQ(mag[7], 0);
     EXPECT_EQ(theta[18], 0);
 }
 
 TEST_F(FusedEncodeFixture, LazyCodesFromMagOnlyPlanes)
 {
     // A mag-only fused tensor reconstructs its codes by inverting
-    // the mag plane (entries are float-rounded dictionary
-    // magnitudes), plus the sidecar's stored outlier indexes.
+    // the mag plane (entries are signed grid magnitudes, one per
+    // index), plus the sidecar's stored outlier indexes.
     const Tensor t = makeTensor(21, 45, 617);
     const auto dict = quantizer.buildDictionary(t);
     const auto ref = quantizer.encode(t, dict);
