@@ -108,16 +108,6 @@ BM_IndexGemm(benchmark::State &state)
 BENCHMARK(BM_IndexGemm)->Unit(benchmark::kMillisecond);
 
 void
-BM_IndexGemmScalar(benchmark::State &state)
-{
-    auto &s = setup();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            indexMatmulTransBScalar(s.qa, s.qw));
-}
-BENCHMARK(BM_IndexGemmScalar)->Unit(benchmark::kMillisecond);
-
-void
 BM_IndexGemmCounting(benchmark::State &state)
 {
     auto &s = setup();
@@ -192,63 +182,6 @@ BENCHMARK(BM_GoldenDictionaryClustering)
     ->Arg(10000)
     ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
-
-/**
- * The serving claim: dispatching a micro-batch of requests as one
- * stacked index-GEMM beats per-request dispatch, because the
- * weight-side work (per-column constant fold, context setup, pool
- * fan-out) is paid once per batch instead of once per request.
- * Decode-style single-token requests (m = 1 row each) make that
- * per-request overhead visible the way an autoregressive serving
- * loop would; records land in BENCH_micro_kernels.json as
- * index_gemm_batch8_{sequential,batched}, where the batched row's
- * speedup_vs_seed field holds batched-vs-sequential throughput.
- */
-void
-writeBatchedServingReport(bench::BenchJson &json)
-{
-    constexpr size_t kBatch = 8, kM = 1, kN = 256, kK = 256;
-    Rng rng(424242);
-    ExpDictionary exp(1.179, -0.977, 8);
-    Quantizer quantizer(exp);
-
-    // One shared activation dictionary — the serving scenario: every
-    // request's activation re-quantizes against the tensor id's
-    // profiled dictionary.
-    Tensor sample(kBatch * kM, kK,
-                  rng.gaussianVector(kBatch * kM * kK, 0.0, 1.0));
-    const auto dict = quantizer.buildDictionary(sample);
-    Tensor w(kN, kK, rng.gaussianVector(kN * kK, 0.0, 0.05));
-    const auto qw = quantizer.encode(w, quantizer.buildDictionary(w));
-
-    std::vector<QuantizedTensor> requests;
-    std::vector<const QuantizedTensor *> parts;
-    for (size_t b = 0; b < kBatch; ++b) {
-        Tensor a(kM, kK, rng.gaussianVector(kM * kK, 0.0, 1.0));
-        requests.push_back(quantizer.encode(a, dict));
-    }
-    for (const auto &r : requests)
-        parts.push_back(&r);
-
-    const double seq_ns = bench::timeKernelNs([&] {
-        for (const auto &r : requests)
-            indexMatmulTransB(r, qw);
-    });
-    const double batch_ns = bench::timeKernelNs(
-        [&] { indexMatmulTransBBatched(parts, qw); });
-
-    const double bytes =
-        static_cast<double>(kBatch * kM * kK + kN * kK) * 1.0 +
-        static_cast<double>(kBatch * kM * kN) * 4.0;
-    json.add({"index_gemm_batch8_sequential", kM, kN, kK, seq_ns,
-              bytes / seq_ns, 0.0});
-    json.add({"index_gemm_batch8_batched", kBatch * kM, kN, kK,
-              batch_ns, bytes / batch_ns, seq_ns / batch_ns});
-    std::printf("batch %zu x (%zux%zux%zu): batched dispatch %.2fx "
-                "vs sequential (threads=%zu)\n",
-                kBatch, kM, kN, kK, seq_ns / batch_ns,
-                threadCount());
-}
 
 /**
  * Frozen replica of the seed activation-quantization path: a scalar
@@ -409,7 +342,7 @@ writeSpeedupReport()
         const double seed_i = bench::timeKernelNs(
             [&] { indexMatmulTransBReference(qa, qw); });
         const double fast_i = bench::timeKernelNs(
-            [&] { indexMatmulTransBMag(qa, qw); });
+            [&] { indexMatmulTransB(qa, qw); });
         const double fast_c = bench::timeKernelNs(
             [&] { indexMatmulTransBCounting(qa, qw); });
 
@@ -430,7 +363,6 @@ writeSpeedupReport()
                     seed_i / fast_c, threadCount());
     }
     writeActEncodeReport(json);
-    writeBatchedServingReport(json);
     json.write();
 }
 

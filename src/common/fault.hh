@@ -2,8 +2,8 @@
  * @file
  * Deterministic fault injection for chaos testing the serving stack.
  *
- * A fault SITE is a named seam in production code (engine dispatch,
- * forwardStep, the scheduler dispatch loops, socket read/write).
+ * A fault SITE is a named seam in production code (weight-site GEMM
+ * dispatch, forwardStep, the scheduler dispatch loops, socket read/write).
  * Each site can be armed with a firing rate and a seed; an armed
  * site fires pseudo-randomly but DETERMINISTICALLY: the k-th check
  * of a site fires iff a seeded hash of k lands under the rate, so
@@ -17,7 +17,7 @@
  *   MOKEY_FAULT=<site>:<rate>:<seed>[,<site>:<rate>:<seed>...]
  *
  * e.g. MOKEY_FAULT=engine:0.1:42 fires the engine-dispatch throw on
- * ~10% of GEMM dispatches, deterministically for seed 42. Rate is a
+ * ~10% of served weight-site GEMMs, deterministically for seed 42. Rate is a
  * decimal in (0, 1]; seed is a non-negative integer. A malformed
  * spec is a fatal config error naming the variable (the same
  * contract as every other MOKEY_* knob).
@@ -27,7 +27,9 @@
  * no clock reads, no allocation.
  *
  * What each site does when it fires:
- *   engine     indexMatmulTransB() dispatch throws
+ *   engine     a served weight-site GEMM throws before it fans out
+ *              (QuantizedTransformer's layer step, every forward
+ *              entry point)
  *   step       QuantizedTransformer::forwardStep() throws
  *   stepdelay  forwardStep() sleeps ~2 ms (latency, not failure)
  *   sched      scheduler dispatch/step loop sleeps ~2 ms
@@ -53,7 +55,7 @@ namespace mokey
 
 /** The named seams fault injection can perturb. */
 enum class FaultSite : size_t {
-    EngineDispatch, ///< "engine": index GEMM dispatch throws
+    EngineDispatch, ///< "engine": a served weight-site GEMM throws
     StepThrow,      ///< "step": forwardStep throws
     StepDelay,      ///< "stepdelay": forwardStep sleeps
     SchedDelay,     ///< "sched": scheduler loop sleeps

@@ -14,7 +14,7 @@
 namespace mokey
 {
 
-// The float-model dots and sumD are multi-versioned on x86-64
+// The float-model dots are multi-versioned on x86-64
 // (resolved once per process via ifunc); plain -O3 code elsewhere.
 // The loop bodies below are written so the compiler's vectorizer
 // can pick the widest profitable vectors per clone while the
@@ -35,22 +35,6 @@ namespace mokey
 // registers for this form, while an explicit pairwise tree makes it
 // scalarize the whole function (measured 3-4x slower). In-order
 // summation is still a fixed, deterministic FP order.
-
-MOKEY_SIMD_CLONES double
-sumD(const double *x, size_t n)
-{
-    double acc[16] = {};
-    size_t p = 0;
-    for (; p + 16 <= n; p += 16)
-        for (size_t l = 0; l < 16; ++l)
-            acc[l] += x[p + l];
-    for (; p < n; ++p)
-        acc[p % 16] += x[p];
-    double sum = 0.0;
-    for (size_t l = 0; l < 16; ++l)
-        sum += acc[l];
-    return sum;
-}
 
 MOKEY_SIMD_CLONES double
 dotFD(const float *x, const float *y, size_t n)

@@ -2,9 +2,9 @@
  * @file
  * Vectorized dot-product primitives shared by the hot kernels.
  *
- * The float-model dots (dotFD, dotFD2) and sumD carry GCC
- * target_clones, so the binary ships generic, AVX2+FMA, and AVX-512
- * variants and the dynamic linker picks one per process at startup.
+ * The float-model dots (dotFD, dotFD2) carry GCC target_clones, so
+ * the binary ships generic, AVX2+FMA, and AVX-512 variants and the
+ * dynamic linker picks one per process at startup.
  * Within a process the chosen variant — and therefore the exact FP
  * rounding — is fixed. The index-engine kernels (the mag GEMM block,
  * the histograms, the ladder encode) dispatch at run time instead;
@@ -88,15 +88,6 @@ void magDotBlockOn(SimdIsa isa, const int16_t *a, size_t lda,
                    size_t rows, const int16_t *w, size_t ldw,
                    size_t cols, size_t k, size_t kBlock, int64_t *dots,
                    size_t ldd);
-
-/**
- * Streaming sum of @p n doubles, 16-lane fixed-tree reduction. One
- * load + one add per element — the closest a kernel gets to pure
- * read bandwidth, which is what the engine-calibration probe
- * (calibrateMagBudget) times across working-set sizes to locate the
- * host's cache cliff.
- */
-double sumD(const double *x, size_t n);
 
 /** Sum of x[i]*y[i] over floats, accumulated in double. */
 double dotFD(const float *x, const float *y, size_t n);

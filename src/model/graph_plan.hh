@@ -1,33 +1,20 @@
 /**
  * @file
- * The once-per-graph execution plan of the fused forward path.
+ * The once-per-graph execution plan of the fused forward walk.
  *
- * The layer-at-a-time pipeline re-derives everything that is actually
- * constant for a served model on every GEMM call: the dictionary
- * product tables, the per-site engine decision, the epilogue scales,
- * and the activation-dictionary lookups. A GraphPlan hoists all of it
- * once — rebuilt whenever quantizeWeights() / profileActivations()
- * invalidate the underlying tensors — so the fused forward walk
- * touches only plain pointers and precomputed scalars.
- *
- * It also carries the self-calibration state: under MOKEY_CALIBRATE
- * with MOKEY_ENGINE=auto, the first fused iteration runs every weight
- * site on the mag engine and the second on the counting engine, each
- * timed; from the third iteration on, each site is pinned to its
- * measured winner (QuantizedTransformer::enginePins() exposes the
- * outcome). With calibration off, sites resolve through the same
- * pure decision table as the layer-at-a-time path, which keeps the
- * two paths bit-identical.
+ * Everything a layer step needs that is constant for a served model
+ * — the per-site GEMM constants (dictionary products, scales, means),
+ * the bias pointers, the attention epilogue scale and the activation
+ * dictionary lookups — is hoisted into one LayerPlan per encoder
+ * layer, rebuilt whenever quantizeWeights() / profileActivations()
+ * invalidate the underlying tensors, so the walk touches only plain
+ * pointers and precomputed scalars.
  */
 
 #ifndef MOKEY_MODEL_GRAPH_PLAN_HH
 #define MOKEY_MODEL_GRAPH_PLAN_HH
 
 #include <array>
-#include <atomic>
-#include <cstdint>
-#include <deque>
-#include <string>
 #include <vector>
 
 #include "quant/index_matmul.hh"
@@ -47,29 +34,13 @@ enum GraphSite : size_t
     kGraphSiteCount,
 };
 
-/** Human-readable site name ("wq" ... "w2"). */
-const char *graphSiteName(size_t site);
-
-/**
- * One weight-side GEMM site: the hoisted constants plus the
- * self-calibration state. Non-copyable (atomics); lives inside the
- * plan's deque for address stability.
- */
+/** One weight-side GEMM site and its hoisted constants. */
 struct SitePlan
 {
     const QuantizedTensor *weight = nullptr;
     const std::vector<float> *bias = nullptr;
     /** gemmConstants(act dict, weight dict, K) for this site. */
     GemmConstants constants;
-
-    /** Pinned engine (IndexEngine as int), or -1 while undecided.
-     * Only consulted under MOKEY_ENGINE=auto. */
-    std::atomic<int> pinned{-1};
-    /** Accumulated fused-GEMM wall time per engine (calibration). */
-    std::atomic<int64_t> magNs{0};
-    std::atomic<int64_t> countNs{0};
-    std::atomic<uint64_t> magRuns{0};
-    std::atomic<uint64_t> countRuns{0};
 };
 
 /** Per-layer resolved state of the fused walk. */
@@ -91,25 +62,6 @@ struct LayerPlan
 
     /** Attention epilogue scale 1/sqrt(head_dim). */
     float invSqrtHd = 1.0f;
-};
-
-/** The whole graph's plan plus calibration progress. */
-struct GraphPlan
-{
-    std::deque<LayerPlan> layers; ///< deque: SitePlan is immovable
-
-    /** Completed fused forward passes (drives the two calibration
-     * profiling iterations; only advanced while calibrating). */
-    std::atomic<uint64_t> iteration{0};
-};
-
-/** One row of QuantizedTransformer::enginePins(). */
-struct EnginePin
-{
-    size_t layer = 0;
-    std::string site;          ///< "wq" ... "w2"
-    IndexEngine engine{};      ///< pinned or statically resolved
-    bool pinned = false;       ///< true once calibration decided
 };
 
 } // namespace mokey

@@ -1,10 +1,7 @@
 #include "model/pipeline.hh"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 
-#include "common/env.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -12,70 +9,6 @@
 
 namespace mokey
 {
-
-namespace
-{
-
-std::atomic<bool> &
-fusedEncodeSlot()
-{
-    static std::atomic<bool> slot{
-        envFlag("MOKEY_FUSED_ENCODE", true)};
-    return slot;
-}
-
-std::atomic<bool> &
-graphFuseSlot()
-{
-    static std::atomic<bool> slot{envFlag("MOKEY_GRAPH_FUSE", true)};
-    return slot;
-}
-
-} // anonymous namespace
-
-bool
-fusedActEncode()
-{
-    return fusedEncodeSlot().load(std::memory_order_relaxed);
-}
-
-void
-setFusedActEncode(bool fused)
-{
-    fusedEncodeSlot().store(fused, std::memory_order_relaxed);
-}
-
-bool
-graphFuse()
-{
-    return graphFuseSlot().load(std::memory_order_relaxed);
-}
-
-void
-setGraphFuse(bool fused)
-{
-    graphFuseSlot().store(fused, std::memory_order_relaxed);
-}
-
-const char *
-graphSiteName(size_t site)
-{
-    switch (site) {
-    case kSiteWq:
-        return "wq";
-    case kSiteWk:
-        return "wk";
-    case kSiteWv:
-        return "wv";
-    case kSiteWo:
-        return "wo";
-    case kSiteW1:
-        return "w1";
-    case kSiteW2:
-        return "w2";
-    }
-    return "?";
-}
 
 QuantizedTransformer::QuantizedTransformer(const Transformer &m,
                                            const Quantizer &q,
@@ -118,17 +51,12 @@ QuantizedTransformer::quantizeWeights()
         *job.dst = quantizer.encode(*job.src, dict);
         *job.deq = job.dst->decode();
         // Weights are read-only from here and every forward GEMM
-        // streams their planes: derive and pin them now so no lane
-        // pays the first-use build (or its single-flight lock) on
-        // the serving path. Pin exactly the plane set the active
-        // engine streams — 2 B/element for the counting engine, 8
-        // for mag; under Auto, per weight by size (the residency
-        // the per-GEMM heuristic then reads back); a later engine
-        // switch upgrades on first use.
-        job.dst->pinPlanes(weightPlaneSet(
-            indexEngine(), job.dst->rows(), job.dst->cols()));
+        // streams their mag planes: derive and pin them now so no
+        // lane pays the first-use build (or its single-flight lock)
+        // on the serving path.
+        job.dst->pinPlanes(PlaneSet::Mag);
     });
-    rebuildGraphPlan();
+    rebuildPlan();
 }
 
 void
@@ -151,13 +79,13 @@ QuantizedTransformer::profileActivations(
             quantizer.buildDictionaryFromSamples(profiler.samples(tid),
                                                  dictCfg));
     }
-    rebuildGraphPlan();
+    rebuildPlan();
 }
 
 void
-QuantizedTransformer::rebuildGraphPlan()
+QuantizedTransformer::rebuildPlan()
 {
-    graphPlan.reset();
+    plan.clear();
     if (!ready())
         return;
 
@@ -165,11 +93,11 @@ QuantizedTransformer::rebuildGraphPlan()
     // pointers (map entries are address-stable), the per-site GEMM
     // constants (dictionary products, scales, means), bias pointers,
     // and the attention epilogue scale. Hoisted once here so the
-    // fused walk never re-derives them per call.
-    auto plan = std::make_unique<GraphPlan>();
+    // walk never re-derives them per call.
     const ModelConfig &cfg = model.config();
+    plan.resize(cfg.layers);
     for (size_t l = 0; l < cfg.layers; ++l) {
-        LayerPlan &lp = plan->layers.emplace_back();
+        LayerPlan &lp = plan[l];
         lp.dx = &activationDict({l, "x"});
         lp.dq = &activationDict({l, "q"});
         lp.dk = &activationDict({l, "k"});
@@ -198,7 +126,6 @@ QuantizedTransformer::rebuildGraphPlan()
         set(lp.sites[kSiteW1], ql.w1, w.b1, *lp.dmidIn);
         set(lp.sites[kSiteW2], ql.w2, w.b2, *lp.dmid);
     }
-    graphPlan = std::move(plan);
 }
 
 bool
@@ -217,253 +144,77 @@ QuantizedTransformer::activationDict(const TensorId &id) const
 }
 
 QuantizedTensor
-QuantizedTransformer::encodeAct(const TensorId &id, const Tensor &t,
-                                const QuantizedTensor *partner,
-                                Lane lane) const
+QuantizedTransformer::encodeAct(const TensorDictionary &dict,
+                                const Tensor &t, Lane lane) const
 {
-    return encodeActDict(activationDict(id), t, partner, lane);
-}
-
-QuantizedTensor
-QuantizedTransformer::encodeActDict(const TensorDictionary &dict,
-                                    const Tensor &t,
-                                    const QuantizedTensor *partner,
-                                    Lane lane) const
-{
-    if (!fusedActEncode())
-        return countActCodes(quantizer.encode(t, dict, lane));
-
-    // Fused path: emit exactly the planes the downstream GEMM will
-    // stream, in one walk. Under Auto the engine is resolved here
-    // with the same inputs resolveIndexEngine() will see at GEMM
-    // time (shape + weight-side residency), so the encode never
-    // materializes a plane the GEMM ignores.
-    IndexEngine engine = indexEngine();
-    if (engine == IndexEngine::Auto)
-        engine = partner
-            ? autoEngineChoice(t.rows(), partner->rows(), t.cols(),
-                               partner->planesFootprint())
-            : IndexEngine::Count; // act x act: both sides cold
-    QuantizedTensor q = quantizer.encodeToPlanes(
-        t, dict, enginePlaneSet(engine), lane);
-    // Outlier-rate counters straight from the sidecar — the fused
-    // path has no code array to walk.
-    actOtCodes.fetch_add(q.planesFootprint().outlierEntries,
-                         std::memory_order_relaxed);
-    actTotalCodes.fetch_add(q.size(), std::memory_order_relaxed);
-    return q;
-}
-
-QuantizedTensor
-QuantizedTransformer::countActCodes(QuantizedTensor q) const
-{
-    // Count privately, publish once: attention jobs of concurrent
-    // batched forwards all feed these two counters.
-    uint64_t ot = 0;
-    for (const QCode c : q.raw())
-        ot += c.isOutlier();
-    actOtCodes.fetch_add(ot, std::memory_order_relaxed);
-    actTotalCodes.fetch_add(q.size(), std::memory_order_relaxed);
-    return q;
-}
-
-IndexEngine
-QuantizedTransformer::siteEngine(const SitePlan &site, size_t aRows,
-                                 uint64_t iter, bool calibrating) const
-{
-    const IndexEngine e = indexEngine();
-    if (e != IndexEngine::Auto)
-        return e;
-    const int pin = site.pinned.load(std::memory_order_relaxed);
-    if (pin >= 0)
-        return static_cast<IndexEngine>(pin);
-    if (calibrating && iter < 2)
-        return iter == 0 ? IndexEngine::Mag : IndexEngine::Count;
-    // Calibration off (or still warming): the exact decision table
-    // the layer-at-a-time path resolves through, so the two forward
-    // paths pick the same engine for every GEMM.
-    return autoEngineChoice(aRows, site.weight->rows(),
-                            site.constants.k,
-                            site.weight->planesFootprint());
-}
-
-QuantizedTensor
-QuantizedTransformer::encodeActForSite(const TensorDictionary &dict,
-                                       const Tensor &t, IndexEngine e,
-                                       Lane lane) const
-{
-    if (!fusedActEncode())
-        return countActCodes(quantizer.encode(t, dict, lane));
     QuantizedTensor q =
-        quantizer.encodeToPlanes(t, dict, enginePlaneSet(e), lane);
-    countFusedAct(q);
+        quantizer.encodeToPlanes(t, dict, PlaneSet::Mag, lane);
+    countAct(q);
     return q;
 }
 
 void
-QuantizedTransformer::countFusedAct(const QuantizedTensor &q) const
+QuantizedTransformer::countAct(const QuantizedTensor &q) const
 {
+    // Outlier-rate counters straight from the sidecar: planes-only
+    // tensors have no code array to walk.
     actOtCodes.fetch_add(q.planesFootprint().outlierEntries,
                          std::memory_order_relaxed);
     actTotalCodes.fetch_add(q.size(), std::memory_order_relaxed);
 }
 
 FusedGemmOut
-QuantizedTransformer::runSite(SitePlan &site,
+QuantizedTransformer::runSite(const SitePlan &site,
                               const QuantizedTensor &act,
-                              IndexEngine e, const FusedRowEpilogue &epi,
+                              const FusedRowEpilogue &epi,
                               const TensorDictionary *outDict,
-                              PlaneSet outSets, bool keepDense,
-                              bool calibrating, Lane lane) const
+                              bool keepDense, Lane lane) const
 {
-    // Engine-dispatch seam of the fused path (the unfused path's is
-    // in indexMatmulTransB). Sits on the caller's thread, before any
-    // parallelFor fan-out, so an injected throw unwinds to the
-    // scheduler instead of a worker.
     faultPoint(FaultSite::EngineDispatch);
-    if (!calibrating ||
-        site.pinned.load(std::memory_order_relaxed) >= 0)
-        return indexMatmulTransBFused(act, *site.weight, e, epi,
-                                      outDict, outSets, keepDense,
-                                      &site.constants, &mmStats, lane);
-
-    // Profiling iteration: keep one-time plane derivation out of the
-    // timed region so the sample reflects steady-state streaming,
-    // not the first-use build the forced engine may trigger.
-    site.weight->planesShared(enginePlaneSet(e));
-    act.planesShared(enginePlaneSet(e));
-    const auto t0 = std::chrono::steady_clock::now();
-    FusedGemmOut out = indexMatmulTransBFused(
-        act, *site.weight, e, epi, outDict, outSets, keepDense,
-        &site.constants, &mmStats, lane);
-    const int64_t ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (e == IndexEngine::Mag) {
-        site.magNs.fetch_add(ns, std::memory_order_relaxed);
-        site.magRuns.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        site.countNs.fetch_add(ns, std::memory_order_relaxed);
-        site.countRuns.fetch_add(1, std::memory_order_relaxed);
-    }
-    return out;
-}
-
-void
-QuantizedTransformer::finalizeEnginePins() const
-{
-    for (LayerPlan &lp : graphPlan->layers) {
-        for (SitePlan &s : lp.sites) {
-            if (s.pinned.load(std::memory_order_relaxed) >= 0)
-                continue;
-            const uint64_t mr =
-                s.magRuns.load(std::memory_order_relaxed);
-            const uint64_t cr =
-                s.countRuns.load(std::memory_order_relaxed);
-            if (mr == 0 || cr == 0)
-                continue; // never saw both engines: stay undecided
-            const double mag_ns = static_cast<double>(
-                s.magNs.load(std::memory_order_relaxed)) / mr;
-            const double cnt_ns = static_cast<double>(
-                s.countNs.load(std::memory_order_relaxed)) / cr;
-            s.pinned.store(static_cast<int>(mag_ns <= cnt_ns
-                                                ? IndexEngine::Mag
-                                                : IndexEngine::Count),
-                           std::memory_order_relaxed);
-        }
-    }
-}
-
-std::vector<EnginePin>
-QuantizedTransformer::enginePins() const
-{
-    std::vector<EnginePin> pins;
-    if (!graphPlan)
-        return pins;
-    for (size_t l = 0; l < graphPlan->layers.size(); ++l) {
-        const LayerPlan &lp = graphPlan->layers[l];
-        for (size_t s = 0; s < kGraphSiteCount; ++s) {
-            const int pin =
-                lp.sites[s].pinned.load(std::memory_order_relaxed);
-            EnginePin p;
-            p.layer = l;
-            p.site = graphSiteName(s);
-            p.pinned = pin >= 0;
-            p.engine = pin >= 0 ? static_cast<IndexEngine>(pin)
-                                : indexEngine();
-            pins.push_back(std::move(p));
-        }
-    }
-    return pins;
-}
-
-void
-QuantizedTransformer::pinEngines(const std::vector<EnginePin> &pins) const
-{
-    MOKEY_ASSERT(graphPlan,
-                 "pinEngines() before the graph plan exists (run "
-                 "quantizeWeights + profileActivations first)");
-    for (const EnginePin &p : pins) {
-        MOKEY_ASSERT(p.engine != IndexEngine::Auto,
-                     "cannot pin a site to Auto");
-        MOKEY_ASSERT(p.layer < graphPlan->layers.size(),
-                     "pin for layer %zu of a %zu-layer graph",
-                     p.layer, graphPlan->layers.size());
-        LayerPlan &lp = graphPlan->layers[p.layer];
-        bool matched = false;
-        for (size_t s = 0; s < kGraphSiteCount; ++s) {
-            if (p.site == graphSiteName(s)) {
-                lp.sites[s].pinned.store(
-                    static_cast<int>(p.engine),
-                    std::memory_order_relaxed);
-                matched = true;
-            }
-        }
-        MOKEY_ASSERT(matched, "unknown graph site '%s'",
-                     p.site.c_str());
-    }
+    return indexMatmulTransBFused(act, *site.weight, IndexEngine::Mag,
+                                  epi, outDict, PlaneSet::Mag, keepDense,
+                                  &site.constants, &mmStats, lane);
 }
 
 Tensor
-QuantizedTransformer::forwardLayerQuantized(
-    size_t l, const Tensor &input, const std::vector<size_t> &starts,
-    Lane lane) const
+QuantizedTransformer::layerStep(size_t l, const Tensor &x,
+                                const std::vector<size_t> &starts,
+                                Lane lane) const
 {
+    const LayerPlan &lp = plan[l];
+    const SitePlan &sq = lp.sites[kSiteWq];
+    const SitePlan &sk = lp.sites[kSiteWk];
+    const SitePlan &sv = lp.sites[kSiteWv];
+    const SitePlan &so = lp.sites[kSiteWo];
+    const SitePlan &s1 = lp.sites[kSiteW1];
+    const SitePlan &s2 = lp.sites[kSiteW2];
     const ModelConfig &cfg = model.config();
-    const EncoderWeights &w = model.weights()[l];
-    const QuantizedLayer &ql = layers[l];
-    const size_t total = input.rows();
+    const size_t total = x.rows();
     const size_t hd = cfg.headDim();
     const size_t batch = starts.size() - 1;
 
-    // QKV projections in the index domain: the whole batch is
-    // re-quantized at once (the fused encode is parallel over the
-    // stacked rows and emits planes directly) and multiplied in one
-    // engine call per weight matrix. wq stands in for wk/wv as the
-    // Auto partner — all three share shape and pinned plane set.
-    const QuantizedTensor qx =
-        encodeAct({l, "x"}, input, &ql.wq, lane);
-    Tensor q = indexMatmulTransB(qx, ql.wq, &mmStats, lane);
-    Tensor k = indexMatmulTransB(qx, ql.wk, &mmStats, lane);
-    Tensor v = indexMatmulTransB(qx, ql.wv, &mmStats, lane);
-    addBias(q, w.bq);
-    addBias(k, w.bk);
-    addBias(v, w.bv);
+    // QKV: heads are gathered in float, so these three fuse the bias
+    // epilogue and read the hoisted constants/fold sums but keep
+    // dense outputs. The whole batch is encoded at once.
+    const QuantizedTensor qx = encodeAct(*lp.dx, x, lane);
+    const auto bias_epi = [](const SitePlan &s) {
+        return FusedRowEpilogue([&s](size_t, float *vals, size_t n) {
+            addBiasRow(vals, s.bias->data(), n);
+        });
+    };
+    const Tensor q = runSite(sq, qx, bias_epi(sq), nullptr, true, lane).dense;
+    const Tensor k = runSite(sk, qx, bias_epi(sk), nullptr, true, lane).dense;
+    const Tensor v = runSite(sv, qx, bias_epi(sv), nullptr, true, lane).dense;
 
-    // Attention: activation x activation GEMMs also run on indexes.
-    const auto &dq = activationDict({l, "q"});
-    const auto &dk = activationDict({l, "k"});
-    const auto &dv = activationDict({l, "v"});
-    const auto &dp = activationDict({l, "p"});
-
-    // One job per (sequence, head) pair: attention never crosses a
-    // sequence boundary, and every job writes a disjoint block of
-    // ctx — with the stats counters atomic the jobs finally fan out
-    // over the pool.
+    // Attention: one job per (sequence, head) pair — attention never
+    // crosses a sequence boundary, and every job writes a disjoint
+    // block of ctx. The act x act GEMMs also run on indexes; the
+    // score GEMM fuses scale + softmax + the probability
+    // re-quantization into its walk, so the score matrix never exists
+    // as a standalone float tensor. K varies with seq, so their
+    // constants come from the shared cache, not the plan.
     Tensor ctx(total, cfg.hidden);
-    const auto inv_sqrt =
-        static_cast<float>(1.0 / std::sqrt(static_cast<double>(hd)));
+    const float inv_sqrt = lp.invSqrtHd;
     parallelFor(lane, 0, batch * cfg.heads, 1, [&](size_t job) {
         const size_t b = job / cfg.heads;
         const size_t h = job % cfg.heads;
@@ -477,232 +228,73 @@ QuantizedTransformer::forwardLayerQuantized(
                 vht.at(c, r) = v.at(r0 + r, h * hd + c);
             }
         }
-        Tensor scores = indexMatmulTransB(
-            encodeActDict(dq, qh, nullptr, lane),
-            encodeActDict(dk, kh, nullptr, lane), &mmStats, lane);
-        scale(scores, inv_sqrt);
-        softmaxRows(scores);
-        const Tensor out = indexMatmulTransB(
-            encodeActDict(dp, scores, nullptr, lane),
-            encodeActDict(dv, vht, nullptr, lane), &mmStats, lane);
+        const QuantizedTensor qqh = encodeAct(*lp.dq, qh, lane);
+        const QuantizedTensor qkh = encodeAct(*lp.dk, kh, lane);
+        FusedGemmOut sc = indexMatmulTransBFused(
+            qqh, qkh, IndexEngine::Mag,
+            [inv_sqrt](size_t, float *vals, size_t n) {
+                scaleRow(vals, n, inv_sqrt);
+                softmaxRow(vals, n);
+            },
+            lp.dp, PlaneSet::Mag, false, nullptr, &mmStats, lane);
+        countAct(sc.planes);
+        const QuantizedTensor qvht = encodeAct(*lp.dv, vht, lane);
+        const FusedGemmOut out = indexMatmulTransBFused(
+            sc.planes, qvht, IndexEngine::Mag, nullptr, nullptr,
+            PlaneSet::Mag, true, nullptr, &mmStats, lane);
         for (size_t r = 0; r < seq; ++r)
             for (size_t c = 0; c < hd; ++c)
-                ctx.at(r0 + r, h * hd + c) = out.at(r, c);
+                ctx.at(r0 + r, h * hd + c) = out.dense.at(r, c);
     });
 
-    Tensor attn = indexMatmulTransB(
-        encodeAct({l, "ctx"}, ctx, &ql.wo, lane), ql.wo, &mmStats,
-        lane);
-    addBias(attn, w.bo);
-    Tensor res1 = add(attn, input);
-    layerNormRows(res1);
+    // wo: bias + residual + layer-norm fused, output emitted straight
+    // as the w1 GEMM's mid_in planes (and kept dense for the second
+    // residual).
+    const QuantizedTensor qctx = encodeAct(*lp.dctx, ctx, lane);
+    FusedGemmOut r1 = runSite(
+        so, qctx,
+        [&so, &x](size_t i, float *vals, size_t n) {
+            addBiasRow(vals, so.bias->data(), n);
+            addRow(vals, vals, x.row(i), n);
+            layerNormRow(vals, n);
+        },
+        lp.dmidIn, true, lane);
+    countAct(r1.planes);
 
-    Tensor mid = indexMatmulTransB(
-        encodeAct({l, "mid_in"}, res1, &ql.w1, lane), ql.w1,
-        &mmStats, lane);
-    addBias(mid, w.b1);
-    gelu(mid);
-    Tensor out = indexMatmulTransB(
-        encodeAct({l, "mid"}, mid, &ql.w2, lane), ql.w2, &mmStats,
-        lane);
-    addBias(out, w.b2);
-    Tensor res2 = add(out, res1);
-    layerNormRows(res2);
-    return res2;
+    // w1: bias + GELU fused, planes-only output — the mid float
+    // tensor never exists.
+    FusedGemmOut rm = runSite(
+        s1, r1.planes,
+        [&s1](size_t, float *vals, size_t n) {
+            addBiasRow(vals, s1.bias->data(), n);
+            geluRow(vals, n);
+        },
+        lp.dmid, false, lane);
+    countAct(rm.planes);
+
+    // w2: bias + residual + layer-norm fused; the float rows carry to
+    // the next layer, which encodes them as its x planes.
+    const Tensor &res1 = r1.dense;
+    return runSite(
+               s2, rm.planes,
+               [&s2, &res1](size_t i, float *vals, size_t n) {
+                   addBiasRow(vals, s2.bias->data(), n);
+                   addRow(vals, vals, res1.row(i), n);
+                   layerNormRow(vals, n);
+               },
+               nullptr, true, lane)
+        .dense;
 }
 
 Tensor
-QuantizedTransformer::fusedLayerStep(
-    size_t l, const Tensor &x, QuantizedTensor &qx, bool haveQx,
-    bool emitNext, const std::vector<size_t> &starts, bool calib,
-    uint64_t iter, Lane lane) const
+QuantizedTransformer::forwardLayers(const Tensor &x,
+                                    const std::vector<size_t> &starts,
+                                    Lane lane) const
 {
-    GraphPlan &plan = *graphPlan;
-    const ModelConfig &cfg = model.config();
-    const size_t total = x.rows();
-    const size_t hd = cfg.headDim();
-    const size_t batch = starts.size() - 1;
-    {
-        LayerPlan &lp = plan.layers[l];
-        SitePlan &sq = lp.sites[kSiteWq];
-        SitePlan &sk = lp.sites[kSiteWk];
-        SitePlan &sv = lp.sites[kSiteWv];
-        SitePlan &so = lp.sites[kSiteWo];
-        SitePlan &s1 = lp.sites[kSiteW1];
-        SitePlan &s2 = lp.sites[kSiteW2];
-
-        const IndexEngine eq = siteEngine(sq, total, iter, calib);
-        if (!haveQx) {
-            // Whole-graph entry (layer 0) and every step-wise call:
-            // encode the float rows as this layer's x planes. On the
-            // whole-graph path later layers receive their planes from
-            // the previous w2 GEMM instead; both routes produce the
-            // same bits (the fused-emission contract).
-            qx = encodeActForSite(*lp.dx, x, eq, lane);
-        }
-
-        // QKV: heads are gathered in float, so these three fuse the
-        // bias epilogue and read the hoisted constants/fold sums but
-        // keep dense outputs.
-        const auto bias_epi = [](const SitePlan &s) {
-            return FusedRowEpilogue(
-                [&s](size_t, float *vals, size_t n) {
-                    addBiasRow(vals, s.bias->data(), n);
-                });
-        };
-        FusedGemmOut qo = runSite(sq, qx, eq, bias_epi(sq), nullptr,
-                                  PlaneSet::Bytes, true, calib, lane);
-        FusedGemmOut ko = runSite(sk, qx,
-                                  siteEngine(sk, total, iter, calib),
-                                  bias_epi(sk), nullptr,
-                                  PlaneSet::Bytes, true, calib, lane);
-        FusedGemmOut vo = runSite(sv, qx,
-                                  siteEngine(sv, total, iter, calib),
-                                  bias_epi(sv), nullptr,
-                                  PlaneSet::Bytes, true, calib, lane);
-        const Tensor &q = qo.dense;
-        const Tensor &k = ko.dense;
-        const Tensor &v = vo.dense;
-
-        // Attention, one job per (sequence, head) as in the unfused
-        // path; the score GEMM fuses scale + softmax + the
-        // probability re-quantization into its band walk, so the
-        // score matrix never exists as a standalone float tensor.
-        Tensor ctx(total, cfg.hidden);
-        const float inv_sqrt = lp.invSqrtHd;
-        parallelFor(lane, 0, batch * cfg.heads, 1, [&](size_t job) {
-            const size_t b = job / cfg.heads;
-            const size_t h = job % cfg.heads;
-            const size_t r0 = starts[b];
-            const size_t seq = starts[b + 1] - r0;
-            Tensor qh(seq, hd), kh(seq, hd), vht(hd, seq);
-            for (size_t r = 0; r < seq; ++r) {
-                for (size_t c = 0; c < hd; ++c) {
-                    qh.at(r, c) = q.at(r0 + r, h * hd + c);
-                    kh.at(r, c) = k.at(r0 + r, h * hd + c);
-                    vht.at(c, r) = v.at(r0 + r, h * hd + c);
-                }
-            }
-            // act x act GEMMs: K varies with seq, so no hoisted
-            // constants; engines resolve exactly as the unfused
-            // path's resolveIndexEngine() calls do.
-            const QuantizedTensor qqh =
-                encodeActDict(*lp.dq, qh, nullptr, lane);
-            const QuantizedTensor qkh =
-                encodeActDict(*lp.dk, kh, nullptr, lane);
-            const IndexEngine ep = indexEngine() == IndexEngine::Auto
-                ? IndexEngine::Count
-                : indexEngine();
-            FusedGemmOut sc = indexMatmulTransBFused(
-                qqh, qkh, resolveIndexEngine(qqh, qkh),
-                [inv_sqrt](size_t, float *vals, size_t n) {
-                    scaleRow(vals, n, inv_sqrt);
-                    softmaxRow(vals, n);
-                },
-                lp.dp, enginePlaneSet(ep), false, nullptr, &mmStats,
-                lane);
-            countFusedAct(sc.planes);
-            const QuantizedTensor qvht =
-                encodeActDict(*lp.dv, vht, nullptr, lane);
-            const FusedGemmOut out = indexMatmulTransBFused(
-                sc.planes, qvht, resolveIndexEngine(sc.planes, qvht),
-                nullptr, nullptr, PlaneSet::Bytes, true, nullptr,
-                &mmStats, lane);
-            for (size_t r = 0; r < seq; ++r)
-                for (size_t c = 0; c < hd; ++c)
-                    ctx.at(r0 + r, h * hd + c) = out.dense.at(r, c);
-        });
-
-        // wo: bias + residual + layer-norm fused, output emitted
-        // straight as the w1 GEMM's mid_in planes (and kept dense
-        // for the second residual).
-        const IndexEngine ewo = siteEngine(so, total, iter, calib);
-        const QuantizedTensor qctx =
-            encodeActForSite(*lp.dctx, ctx, ewo, lane);
-        const IndexEngine ew1 = siteEngine(s1, total, iter, calib);
-        const Tensor &res_in = x;
-        FusedGemmOut r1 = runSite(
-            so, qctx, ewo,
-            [&so, &res_in](size_t i, float *vals, size_t n) {
-                addBiasRow(vals, so.bias->data(), n);
-                addRow(vals, vals, res_in.row(i), n);
-                layerNormRow(vals, n);
-            },
-            lp.dmidIn, enginePlaneSet(ew1), true, calib, lane);
-        countFusedAct(r1.planes);
-
-        // w1: bias + GELU fused, planes-only output — the mid float
-        // tensor is gone entirely on this path.
-        const IndexEngine ew2 = siteEngine(s2, total, iter, calib);
-        FusedGemmOut rm = runSite(
-            s1, r1.planes, ew1,
-            [&s1](size_t, float *vals, size_t n) {
-                addBiasRow(vals, s1.bias->data(), n);
-                geluRow(vals, n);
-            },
-            lp.dmid, enginePlaneSet(ew2), false, calib, lane);
-        countFusedAct(rm.planes);
-
-        // w2: bias + residual + layer-norm fused; when the caller
-        // continues plane-to-plane (whole-graph walk, any layer but
-        // the last), the output is also encoded as the next layer's
-        // x planes against that layer's dictionary and engine.
-        const TensorDictionary *next_dx =
-            emitNext ? plan.layers[l + 1].dx : nullptr;
-        const IndexEngine enx = emitNext
-            ? siteEngine(plan.layers[l + 1].sites[kSiteWq], total,
-                         iter, calib)
-            : IndexEngine::Count;
-        const Tensor &res1 = r1.dense;
-        FusedGemmOut r2 = runSite(
-            s2, rm.planes, ew2,
-            [&s2, &res1](size_t i, float *vals, size_t n) {
-                addBiasRow(vals, s2.bias->data(), n);
-                addRow(vals, vals, res1.row(i), n);
-                layerNormRow(vals, n);
-            },
-            next_dx, enginePlaneSet(enx), true, calib, lane);
-        if (emitNext)
-            countFusedAct(r2.planes);
-        qx = std::move(r2.planes);
-        return std::move(r2.dense);
-    }
-}
-
-Tensor
-QuantizedTransformer::forwardGraphFused(
-    const Tensor &input, const std::vector<size_t> &starts,
-    Lane lane) const
-{
-    GraphPlan &plan = *graphPlan;
-    const ModelConfig &cfg = model.config();
-    // Self-calibration only makes sense when the engine choice is
-    // actually open (MOKEY_ENGINE=auto); under a fixed engine the
-    // timed iterations would just measure what is already decided.
-    const bool calib =
-        engineCalibration() && indexEngine() == IndexEngine::Auto;
-    const uint64_t iter =
-        calib ? plan.iteration.load(std::memory_order_relaxed) : 0;
-
-    // The carried state between layers: the float rows (residual
-    // input of the next attention block) and the same values already
-    // encoded as the next layer's x planes — emitted by the previous
-    // layer's w2 fused GEMM, so no float tensor is re-read for
-    // quantization between layers.
-    Tensor x = input;
-    QuantizedTensor qx;
-    for (size_t l = 0; l < cfg.layers; ++l)
-        x = fusedLayerStep(l, x, qx, /*haveQx=*/l > 0,
-                           /*emitNext=*/l + 1 < cfg.layers, starts,
-                           calib, iter, lane);
-
-    if (calib) {
-        const uint64_t done =
-            plan.iteration.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (done >= 2)
-            finalizeEnginePins();
-    }
-    return x;
+    Tensor out = x;
+    for (size_t l = 0; l < plan.size(); ++l)
+        out = layerStep(l, out, starts, lane);
+    return out;
 }
 
 Tensor
@@ -725,19 +317,9 @@ QuantizedTransformer::forwardStep(size_t layer,
         return dequantized->forwardLayerBatch(layer, stacked, starts,
                                               lane);
 
-    MOKEY_ASSERT(!actDicts.empty(),
-                 "profileActivations() must run before full "
-                 "quantized inference");
-    if (graphFuse() && graphPlan) {
-        // Step-wise calls never advance calibration: the timed
-        // iterations are whole-graph passes, and a step's membership
-        // can change between layers, which would skew the profile.
-        QuantizedTensor qx;
-        return fusedLayerStep(layer, stacked, qx, /*haveQx=*/false,
-                              /*emitNext=*/false, starts,
-                              /*calib=*/false, /*iter=*/0, lane);
-    }
-    return forwardLayerQuantized(layer, stacked, starts, lane);
+    MOKEY_ASSERT(ready(), "profileActivations() must run before full "
+                          "quantized inference");
+    return layerStep(layer, stacked, starts, lane);
 }
 
 Tensor
@@ -749,16 +331,9 @@ QuantizedTransformer::forward(const Tensor &input, QuantMode mode,
     if (mode == QuantMode::WeightsOnly)
         return dequantized->forward(input, nullptr, nullptr, lane);
 
-    MOKEY_ASSERT(!actDicts.empty(),
-                 "profileActivations() must run before full "
-                 "quantized inference");
-    const std::vector<size_t> starts{0, input.rows()};
-    if (graphFuse() && graphPlan)
-        return forwardGraphFused(input, starts, lane);
-    Tensor x = input;
-    for (size_t l = 0; l < model.config().layers; ++l)
-        x = forwardLayerQuantized(l, x, starts, lane);
-    return x;
+    MOKEY_ASSERT(ready(), "profileActivations() must run before full "
+                          "quantized inference");
+    return forwardLayers(input, {0, input.rows()}, lane);
 }
 
 std::vector<Tensor>
@@ -772,20 +347,13 @@ QuantizedTransformer::forwardBatch(const std::vector<Tensor> &inputs,
     if (mode == QuantMode::WeightsOnly)
         return dequantized->forwardBatch(inputs, lane);
 
-    MOKEY_ASSERT(!actDicts.empty(),
-                 "profileActivations() must run before full "
-                 "quantized inference");
-    return mapStackedBatch(
-        inputs,
-        [this, lane](const Tensor &stacked,
-                     const std::vector<size_t> &starts) {
-            if (graphFuse() && graphPlan)
-                return forwardGraphFused(stacked, starts, lane);
-            Tensor x = stacked;
-            for (size_t l = 0; l < model.config().layers; ++l)
-                x = forwardLayerQuantized(l, x, starts, lane);
-            return x;
-        });
+    MOKEY_ASSERT(ready(), "profileActivations() must run before full "
+                          "quantized inference");
+    return mapStackedBatch(inputs,
+                           [this, lane](const Tensor &stacked,
+                                        const std::vector<size_t> &starts) {
+                               return forwardLayers(stacked, starts, lane);
+                           });
 }
 
 double

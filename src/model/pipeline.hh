@@ -6,10 +6,16 @@
  *   1. quantize weights offline against their own dictionaries;
  *   2. profile activations over a small batch and build their
  *      dictionaries;
- *   3. run inference where every GEMM goes through the index-domain
- *      histogram path, activations are re-quantized on the fly, and
+ *   3. run inference where every GEMM runs in the index domain on
+ *      the mag engine, activations are re-quantized on the fly, and
  *      only softmax / layer-norm / GELU stay in the float domain
  *      (exactly the operators the paper leaves to dedicated units).
+ *
+ * There is one quantized forward walk: a fused layer step in which
+ * every GEMM chains its epilogue (bias, residual, norm, GELU,
+ * attention scale + softmax) and the next consumer's activation
+ * encode into its own walk (indexMatmulTransBFused). forward(),
+ * forwardBatch() and forwardStep() are all loops over that step.
  *
  * Two quantization modes mirror Table I's two columns: WeightsOnly
  * and WeightsAndActivations.
@@ -21,6 +27,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "model/graph_plan.hh"
 #include "model/profiler.hh"
@@ -37,37 +44,6 @@ enum class QuantMode
     WeightsOnly,
     WeightsAndActivations,
 };
-
-/**
- * Whether activation re-quantization uses the fused single-pass
- * encodeToPlanes() path (the default) or the seed two-pass
- * encode() + derivePlanes path. Process-wide, initialized from
- * MOKEY_FUSED_ENCODE (unset/1/on -> fused; 0/off -> seed path).
- * Outputs are bit-identical either way — the knob exists for parity
- * tests, benchmarking, and as a rollback lever.
- */
-bool fusedActEncode();
-
-/** Flip the activation-encode path (tests restore the prior value). */
-void setFusedActEncode(bool fused);
-
-/**
- * Whether the fully-quantized forward pass runs plane-to-plane layer-
- * graph fusion (the default) or the seed layer-at-a-time sequence.
- * Fused: every weight-site GEMM chains its epilogue (bias, residual,
- * norm, GELU, attention scale+softmax) and the next consumer's
- * activation quantization into the GEMM's own walk, reads
- * the planes' precomputed fold sums, and uses the GraphPlan's hoisted
- * per-site constants — no intermediate float tensor or per-call
- * re-fold between chained GEMMs. Process-wide, initialized from
- * MOKEY_GRAPH_FUSE (unset/1/on -> fused; 0/off -> layer-at-a-time).
- * Outputs are bit-identical either way — the knob is the rollback
- * lever and what the parity tests and the fusion benchmark flip.
- */
-bool graphFuse();
-
-/** Flip the graph-fusion path (tests restore the prior value). */
-void setGraphFuse(bool fused);
 
 /**
  * Aggregate quantization statistics for reporting. The embedded
@@ -121,10 +97,10 @@ class QuantizedTransformer
     /**
      * Batched forward over several (possibly ragged-length)
      * sequences: activations of the whole batch are re-quantized
-     * batch-at-once through the batched encode(), every row-space
-     * GEMM runs on the stacked B x T rows (one weight-side
-     * CodePlanes derivation per GEMM), and attention heads of all
-     * requests fan out over the pool together. Each output is
+     * at once over the stacked B x T rows, every row-space GEMM runs
+     * on those rows (one weight-plane stream per GEMM), and
+     * attention heads of all requests fan out over the pool
+     * together. Each output is
      * bit-identical to forward() on that sequence alone. The pass
      * runs on @p lane, so independent micro-batches dispatched on
      * different lanes execute concurrently over one worker set.
@@ -150,12 +126,11 @@ class QuantizedTransformer
      * Composition contract: chaining forwardStep over layers
      * 0..stepCount()-1, with any re-stacking of co-batched rows
      * between steps, is bit-identical to forward()/forwardBatch() on
-     * the same sequences. On the fused path the step re-encodes the
-     * carried float rows against the layer's activation dictionary;
-     * the fused GEMM contract (emitted planes == encodeToPlanes of
-     * the dense epilogue output) makes that re-encode exact.
-     * Engine self-calibration never advances on this path — only
-     * whole-graph passes are timed.
+     * the same sequences — both are loops over the same layer step,
+     * which re-encodes the carried float rows against the layer's
+     * activation dictionary. Only this entry point carries the
+     * `step` / `stepdelay` fault seams, so an in-process forward()
+     * reference never fires them.
      *
      * @param layer  which encoder layer to apply (< stepCount())
      * @param stacked sum-of-seqs x hidden stacked activations (the
@@ -179,24 +154,6 @@ class QuantizedTransformer
     /** Activation dictionary for a tensor id (fatal if missing). */
     const TensorDictionary &activationDict(const TensorId &id) const;
 
-    /**
-     * The per-site engine profile of the fused graph, one entry per
-     * (layer, weight site): the pinned engine once self-calibration
-     * decided (pinned = true), or the process-wide selection while
-     * undecided. Empty before the graph plan exists.
-     */
-    std::vector<EnginePin> enginePins() const;
-
-    /**
-     * Apply an engine profile (e.g. an enginePins() snapshot from a
-     * calibrated run): each named site is pinned to the given engine
-     * and skips further calibration. Pins apply only under
-     * MOKEY_ENGINE=auto, mirroring how calibration records them.
-     * This is what makes calibrated deployments reproducible — pin
-     * once, then every forward resolves identically.
-     */
-    void pinEngines(const std::vector<EnginePin> &pins) const;
-
   private:
     const Transformer &model;
     const Quantizer &quantizer;
@@ -212,101 +169,51 @@ class QuantizedTransformer
     mutable IndexMatmulStats mmStats;
     mutable std::atomic<uint64_t> actOtCodes{0};
     mutable std::atomic<uint64_t> actTotalCodes{0};
-    /**
-     * Hoisted execution plan of the fused forward path; rebuilt by
-     * quantizeWeights()/profileActivations() once both halves exist.
-     * Mutable because calibration state (timings, pins, iteration)
-     * advances inside const forward passes.
-     */
-    mutable std::unique_ptr<GraphPlan> graphPlan;
+    /** Hoisted per-layer plan of the forward walk; rebuilt by
+     * quantizeWeights()/profileActivations() once both halves exist
+     * (empty until then). */
+    std::vector<LayerPlan> plan;
 
     /**
-     * One quantized encoder layer over a stacked row space; @p starts
-     * holds B+1 row offsets delimiting the sequences. forward() is
-     * the B=1 case.
+     * Encode an activation against its profiled dictionary into the
+     * mag planes the downstream GEMM streams (encodeToPlanes),
+     * folding it into the outlier-rate counters.
      */
-    Tensor forwardLayerQuantized(size_t l, const Tensor &input,
-                                 const std::vector<size_t> &starts,
-                                 Lane lane) const;
+    QuantizedTensor encodeAct(const TensorDictionary &dict,
+                              const Tensor &t, Lane lane) const;
+
+    /** Fold an encoded activation into the outlier-rate counters. */
+    void countAct(const QuantizedTensor &q) const;
+
+    /** Rebuild the per-layer plan (cleared until ready()). */
+    void rebuildPlan();
 
     /**
-     * Encode an activation against its profiled dictionary, folding
-     * it into the outlier-rate counters. On the fused path the
-     * planes the downstream GEMM streams are emitted directly
-     * (encodeToPlanes); @p partner is that GEMM's other operand —
-     * the weight tensor whose plane residency the Auto engine
-     * heuristic consults — or nullptr for activation x activation
-     * GEMMs (attention), which always resolve to byte planes under
-     * Auto because both sides start cold.
+     * Run one weight site's fused GEMM on the mag engine — the
+     * `engine` fault seam of every served GEMM. The seam sits on the
+     * caller's thread, before any fan-out, so an injected throw
+     * unwinds to the scheduler instead of a worker.
      */
-    QuantizedTensor encodeAct(const TensorId &id, const Tensor &t,
-                              const QuantizedTensor *partner,
-                              Lane lane) const;
-
-    /** encodeAct() for a pre-resolved dictionary (attention inner
-     * loops, where the map lookup would run once per head job). */
-    QuantizedTensor encodeActDict(const TensorDictionary &dict,
-                                  const Tensor &t,
-                                  const QuantizedTensor *partner,
-                                  Lane lane) const;
-
-    /** Fold a quantized activation into the outlier-rate counters. */
-    QuantizedTensor countActCodes(QuantizedTensor q) const;
-
-    /** Rebuild the fused-path GraphPlan (no-op until ready()). */
-    void rebuildGraphPlan();
+    FusedGemmOut runSite(const SitePlan &site, const QuantizedTensor &act,
+                         const FusedRowEpilogue &epi,
+                         const TensorDictionary *outDict, bool keepDense,
+                         Lane lane) const;
 
     /**
-     * The fused-path engine decision for one weight site: the fixed
-     * process engine, the site's calibration pin, a forced profiling
-     * engine during the two calibration iterations, or the same Auto
-     * decision table the layer-at-a-time path resolves through.
+     * One fully quantized encoder layer over the stacked rows
+     * (@p starts holds B+1 row offsets delimiting the sequences): the
+     * body forward(), forwardBatch() and forwardStep() all loop
+     * over. Encodes @p x as the layer's x planes and returns the
+     * layer's float output rows.
      */
-    IndexEngine siteEngine(const SitePlan &site, size_t aRows,
-                           uint64_t iter, bool calibrating) const;
+    Tensor layerStep(size_t l, const Tensor &x,
+                     const std::vector<size_t> &starts, Lane lane) const;
 
-    /** encodeActDict() with the engine pre-resolved per site (so a
-     * calibration pin controls which planes are emitted). */
-    QuantizedTensor encodeActForSite(const TensorDictionary &dict,
-                                     const Tensor &t, IndexEngine e,
-                                     Lane lane) const;
-
-    /** Fold a fused-GEMM-encoded activation into the counters. */
-    void countFusedAct(const QuantizedTensor &q) const;
-
-    /** Run one weight site's fused GEMM (timed while calibrating). */
-    FusedGemmOut runSite(SitePlan &site, const QuantizedTensor &act,
-                         IndexEngine e, const FusedRowEpilogue &epi,
-                         const TensorDictionary *outDict,
-                         PlaneSet outSets, bool keepDense,
-                         bool calibrating, Lane lane) const;
-
-    /** Pin every fully-profiled site to its measured winner. */
-    void finalizeEnginePins() const;
-
-    /**
-     * The plane-to-plane fused pass over all layers: each fused GEMM
-     * emits the next GEMM's operand planes directly; the float
-     * domain only surfaces where non-GEMM consumers need it (QKV
-     * head gather, residual rows, the final output).
-     */
-    Tensor forwardGraphFused(const Tensor &input,
-                             const std::vector<size_t> &starts,
-                             Lane lane) const;
-
-    /**
-     * One fused layer over the stacked rows — the shared body of
-     * forwardGraphFused() (which carries @p qx plane-to-plane across
-     * layers) and forwardStep() (which enters with float rows only).
-     * @p qx in: layer @p l's x planes when @p haveQx, else encoded
-     * here; out: the next layer's x planes when @p emitNext, else
-     * left exhausted. Returns the layer's float output rows.
-     */
-    Tensor fusedLayerStep(size_t l, const Tensor &x,
-                          QuantizedTensor &qx, bool haveQx,
-                          bool emitNext,
-                          const std::vector<size_t> &starts,
-                          bool calib, uint64_t iter, Lane lane) const;
+    /** layerStep() over every layer: the WeightsAndActivations body
+     * of forward() and forwardBatch(). */
+    Tensor forwardLayers(const Tensor &x,
+                         const std::vector<size_t> &starts,
+                         Lane lane) const;
 };
 
 } // namespace mokey

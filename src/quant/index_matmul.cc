@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
@@ -445,15 +444,16 @@ constexpr size_t kTileN = 32;
 
 /**
  * Mag-engine outputs for rows [lo, hi) x columns [jb, jend) (at most
- * kTileN columns), written to out[(i - lo) * ldo + j]: the tile
- * kernel of every mag path, fused and unfused. Each 4-row group runs
+ * kTileN columns), written to out[(i - lo) * ldo + j]: the mag tile
+ * kernel of both fused-GEMM splits. Each 4-row group runs
  * one register-blocked magDotBlock over the weight tile, so a weight
  * row is loaded once per 4 activation rows; every dot is the exact
  * integer sum whatever the group or tail.
  *
  * noinline on purpose: one instantiation gives engineDot the same FP
  * contraction for every caller, which the bit-parity guarantee
- * (scalar == fused == either split == any thread count) depends on.
+ * (either split == any thread count == the tests' grid oracle)
+ * depends on.
  */
 __attribute__((noinline)) void
 magTile(const GemmConstants &ctx, const CodePlanes &pa,
@@ -491,75 +491,6 @@ magTile(const GemmConstants &ctx, const CodePlanes &pa,
  * planes are 72 KiB at most, BERT-base's 1.125 MiB and up.
  */
 constexpr size_t kWeightStationaryMinBytes = size_t{1} << 20;
-
-Tensor
-engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
-             IndexMatmulStats *stats, bool tiled_parallel,
-             Lane lane = {})
-{
-    MOKEY_ASSERT(a.cols() == wt.cols(),
-                 "index matmul reduction mismatch: %zu vs %zu",
-                 a.cols(), wt.cols());
-    const size_t m = a.rows(), n = wt.rows(), k = a.cols();
-    const GemmConstants ctx =
-        cachedGemmConstants(a.dictionary(), wt.dictionary(), k);
-
-    // Materialize both plane views on this thread before fanning
-    // out; hold the owning pointers so a concurrent plane-set
-    // upgrade on a shared tensor cannot free them mid-GEMM.
-    const auto pa_sp = a.planesShared(PlaneSet::Mag);
-    const auto pw_sp = wt.planesShared(PlaneSet::Mag);
-    const CodePlanes &pa = *pa_sp;
-    const CodePlanes &pw = *pw_sp;
-
-    // Pairing-independent sums folded straight into per-row/-column
-    // scalar terms of the reconstruction. Over the Gaussian slots the
-    // seed's SoA2 + b*PoM2 is the mag-plane row sum on the grid,
-    //   sum th (a^i) + b sum th  =  sum th (a^i + b),
-    // and the outlier slots add their own grid values.
-    // Folded per call on purpose — this layer-at-a-time path is the
-    // frozen baseline the fused graph walk (which reads the planes'
-    // precomputed magRowSum) is benchmarked against; both are the
-    // same exact integer sum.
-    std::vector<double> row_term(m), col_term(n);
-    const auto fold = [k](const CodePlanes &p, size_t r) {
-        return static_cast<double>(magPlaneRowSum(p.magRow(r), k));
-    };
-    // The scalar path must honour its contract of never touching the
-    // pool, so the fold loops are serial there too; per-element
-    // results are identical either way.
-    const auto foldRows = [&](size_t i) {
-        row_term[i] = ctx.gA * ctx.mW * fold(pa, i);
-    };
-    const auto foldCols = [&](size_t j) {
-        col_term[j] = ctx.gW * ctx.mA * fold(pw, j);
-    };
-    if (tiled_parallel) {
-        parallelFor(lane, 0, m, 16, foldRows);
-        parallelFor(lane, 0, n, 16, foldCols);
-    } else {
-        for (size_t i = 0; i < m; ++i)
-            foldRows(i);
-        for (size_t j = 0; j < n; ++j)
-            foldCols(j);
-    }
-
-    Tensor out(m, n);
-    const auto band = [&](size_t lo, size_t hi) {
-        // Tile over the weight rows so a kTileN-row plane block is
-        // reused by every activation row of the band.
-        for (size_t jb = 0; jb < n; jb += kTileN)
-            magTile(ctx, pa, pw, lo, hi, jb, std::min(jb + kTileN, n),
-                    row_term.data(), col_term.data(), out.row(lo), n);
-    };
-
-    if (tiled_parallel)
-        parallelForRange(lane, 0, m, 1, band);
-    else
-        band(0, m);
-    addPairStats(pa, pw, k, stats);
-    return out;
-}
 
 /**
  * One counting-engine dot product over the byte planes and outlier
@@ -634,119 +565,16 @@ countingDot(const GemmConstants &cc, const uint8_t *ia,
     return gpe + row_term + col_term + ctx.constTerm + ot_acc;
 }
 
-Tensor
-countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
-               IndexMatmulStats *stats, bool tiled_parallel,
-               Lane lane = {})
-{
-    MOKEY_ASSERT(a.cols() == wt.cols(),
-                 "index matmul reduction mismatch: %zu vs %zu",
-                 a.cols(), wt.cols());
-    const size_t m = a.rows(), n = wt.rows(), k = a.cols();
-    const GemmConstants cc =
-        cachedGemmConstants(a.dictionary(), wt.dictionary(), k);
-    const GemmConstants &ctx = cc;
-
-    // Byte planes only: 2 B per element resident, never the mag
-    // plane. Owning pointers guard against concurrent upgrades.
-    const auto pa_sp = a.planesShared(PlaneSet::Bytes);
-    const auto pw_sp = wt.planesShared(PlaneSet::Bytes);
-    const CodePlanes &pa = *pa_sp;
-    const CodePlanes &pw = *pw_sp;
-
-    // Pairing-independent row/column terms from the per-row signed
-    // index histogram: sum theta (a^i + b) = sum_i h[i] * mags[i].
-    // Per-call folds for the same reason as the mag engine: this is
-    // the frozen baseline; the fused walk reads byteRowSum instead.
-    std::vector<double> row_term(m), col_term(n);
-    const auto fold = [&cc, k](const CodePlanes &p, size_t r) {
-        return bytePlaneRowSum(p.indexRow(r), p.thetaRow(r), k,
-                               cc.mags.data());
-    };
-    const auto foldRows = [&](size_t i) {
-        row_term[i] = ctx.sA * ctx.mW * fold(pa, i);
-    };
-    const auto foldCols = [&](size_t j) {
-        col_term[j] = ctx.sW * ctx.mA * fold(pw, j);
-    };
-    if (tiled_parallel) {
-        parallelFor(lane, 0, m, 16, foldRows);
-        parallelFor(lane, 0, n, 16, foldCols);
-    } else {
-        for (size_t i = 0; i < m; ++i)
-            foldRows(i);
-        for (size_t j = 0; j < n; ++j)
-            foldCols(j);
-    }
-
-    Tensor out(m, n);
-    const auto band = [&](size_t lo, size_t hi) {
-        // Same weight-row tiling as the mag engine; a kTileN-row
-        // byte-plane block is 2*kTileN*k bytes, as large as the mag
-        // engine's.
-        for (size_t jb = 0; jb < n; jb += kTileN) {
-            const size_t jhi = std::min(jb + kTileN, n);
-            for (size_t i = lo; i < hi; ++i) {
-                const uint8_t *ia = pa.indexRow(i);
-                const int8_t *ta = pa.thetaRow(i);
-                const CodePlanes::Outlier *oa = pa.outlierRow(i);
-                const size_t na = pa.outlierCount(i);
-                float *orow = out.row(i);
-                for (size_t j = jb; j < jhi; ++j) {
-                    orow[j] = static_cast<float>(countingDot(
-                        cc, ia, ta, oa, na, pw.indexRow(j),
-                        pw.thetaRow(j), pw.outlierRow(j),
-                        pw.outlierCount(j), row_term[i],
-                        col_term[j]));
-                }
-            }
-        }
-    };
-
-    if (tiled_parallel)
-        parallelForRange(lane, 0, m, 1, band);
-    else
-        band(0, m);
-    addPairStats(pa, pw, k, stats);
-    return out;
-}
-
 } // anonymous namespace
 
 Tensor
 indexMatmulTransB(const QuantizedTensor &a, const QuantizedTensor &wt,
                   IndexMatmulStats *stats, Lane lane)
 {
-    faultPoint(FaultSite::EngineDispatch);
-    if (resolveIndexEngine(a, wt) == IndexEngine::Count)
-        return countingMatmul(a, wt, stats, true, lane);
-    return engineMatmul(a, wt, stats, true, lane);
-}
-
-Tensor
-indexMatmulTransBScalar(const QuantizedTensor &a,
-                        const QuantizedTensor &wt,
-                        IndexMatmulStats *stats)
-{
-    if (resolveIndexEngine(a, wt) == IndexEngine::Count)
-        return countingMatmul(a, wt, stats, false);
-    return engineMatmul(a, wt, stats, false);
-}
-
-Tensor
-indexMatmulTransBMag(const QuantizedTensor &a,
-                     const QuantizedTensor &wt,
-                     IndexMatmulStats *stats, Lane lane)
-{
-    return engineMatmul(a, wt, stats, true, lane);
-}
-
-Tensor
-indexMatmulTransBMagScalar(const QuantizedTensor &a,
-                           const QuantizedTensor &wt,
-                           IndexMatmulStats *stats)
-{
-    return engineMatmul(a, wt, stats, false);
+    return indexMatmulTransBFused(a, wt, IndexEngine::Mag, nullptr,
+                                  nullptr, PlaneSet::Mag, true, nullptr,
+                                  stats, lane)
+        .dense;
 }
 
 Tensor
@@ -754,53 +582,18 @@ indexMatmulTransBCounting(const QuantizedTensor &a,
                           const QuantizedTensor &wt,
                           IndexMatmulStats *stats, Lane lane)
 {
-    return countingMatmul(a, wt, stats, true, lane);
-}
-
-Tensor
-indexMatmulTransBCountingScalar(const QuantizedTensor &a,
-                                const QuantizedTensor &wt,
-                                IndexMatmulStats *stats)
-{
-    return countingMatmul(a, wt, stats, false);
-}
-
-std::vector<Tensor>
-indexMatmulTransBBatched(const std::vector<const QuantizedTensor *> &as,
-                         const QuantizedTensor &wt,
-                         IndexMatmulStats *stats, Lane lane)
-{
-    if (as.empty())
-        return {};
-    if (as.size() == 1)
-        return {indexMatmulTransB(*as[0], wt, stats, lane)};
-
-    const QuantizedTensor stacked = concatQuantizedRows(as);
-    const Tensor out = indexMatmulTransB(stacked, wt, stats, lane);
-
-    // Split the stacked output back into per-request tensors. Each
-    // output row was produced by exactly the codes of its own
-    // request, so the rows equal the standalone results bit for bit.
-    std::vector<Tensor> parts;
-    parts.reserve(as.size());
-    size_t r0 = 0;
-    for (const QuantizedTensor *a : as) {
-        Tensor t(a->rows(), out.cols());
-        std::memcpy(t.data(), out.row(r0),
-                    a->rows() * out.cols() * sizeof(float));
-        parts.push_back(std::move(t));
-        r0 += a->rows();
-    }
-    return parts;
+    return indexMatmulTransBFused(a, wt, IndexEngine::Count, nullptr,
+                                  nullptr, PlaneSet::Bytes, true, nullptr,
+                                  stats, lane)
+        .dense;
 }
 
 bool
-weightStationarySplit(size_t n, size_t k, IndexEngine engine)
+weightStationarySplit(size_t n, size_t k)
 {
-    const size_t elem_bytes = engine == IndexEngine::Mag
-        ? kMagElemBytes
-        : sizeof(uint8_t) + sizeof(int8_t);
-    return n * k * elem_bytes >= kWeightStationaryMinBytes;
+    // Both engines stream 2 B per weight element: the int16 mag plane
+    // (kMagElemBytes) or the uint8 index + int8 theta byte planes.
+    return n * k * kMagElemBytes >= kWeightStationaryMinBytes;
 }
 
 FusedGemmOut
@@ -815,9 +608,6 @@ indexMatmulTransBFused(const QuantizedTensor &a,
     MOKEY_ASSERT(a.cols() == wt.cols(),
                  "index matmul reduction mismatch: %zu vs %zu",
                  a.cols(), wt.cols());
-    MOKEY_ASSERT(engine != IndexEngine::Auto,
-                 "fused GEMM needs a resolved engine "
-                 "(resolveIndexEngine per site)");
     MOKEY_ASSERT(outDict != nullptr || keepDense,
                  "fused GEMM would discard its output");
     const size_t m = a.rows(), n = wt.rows(), k = a.cols();
@@ -835,9 +625,9 @@ indexMatmulTransBFused(const QuantizedTensor &a,
     const CodePlanes &pa = *pa_sp;
     const CodePlanes &pw = *pw_sp;
 
-    // The tentpole saving: the pairing-independent SoA2 + b*PoM2
-    // folds were computed once when these planes were encoded or
-    // derived, in this engine's own arithmetic order — here they
+    // The pairing-independent SoA2 + b*PoM2 folds were computed once
+    // when these planes were encoded or derived, in this engine's own
+    // arithmetic order — here they
     // collapse to one multiply per row/column instead of an O(k)
     // re-fold per GEMM call (the column fold alone is ~half the
     // work of an m=1 decode GEMM).
@@ -889,9 +679,7 @@ indexMatmulTransBFused(const QuantizedTensor &a,
 
     // Output rows [lo, hi) x columns [jb, jend), written to
     // rows[(i - lo) * n + j]: the one tile kernel of both splits
-    // below. Identical dot kernels to the layer-at-a-time path
-    // (magTile / noinline countingDot); only the source of the
-    // row/column terms differs, and those are bit-equal.
+    // below (magTile / noinline countingDot).
     const auto tile = [&](size_t lo, size_t hi, size_t jb, size_t jend,
                           float *rows) {
         if (mag_eng) {
@@ -933,7 +721,7 @@ indexMatmulTransBFused(const QuantizedTensor &a,
                     bytePlaneRowSum(ix, th, n, lad.foldMags);
         }
     };
-    if (weightStationarySplit(n, k, engine)) {
+    if (weightStationarySplit(n, k)) {
         // Weight-stationary: each chunk owns a range of output
         // columns — a block of weight rows — and computes it for all
         // m rows, so every weight-plane byte is streamed from memory

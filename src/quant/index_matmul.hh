@@ -199,101 +199,41 @@ double indexDot(const QCode *a, const TensorDictionary &dict_a,
                 CrfState *crf = nullptr);
 
 /**
- * Index-domain GEMM: out = A (M x K) * Wt^T where Wt is (N x K).
+ * Index-domain GEMM on the mag engine: out = A (M x K) * Wt^T where
+ * Wt is (N x K).
  *
  * Both operands are quantized; the result is the full-precision
- * output activation tensor ready for on-the-fly re-quantization.
- *
- * This is the production entry point: it dispatches to the engine
- * selected by resolveIndexEngine() — the fixed MOKEY_ENGINE /
- * setIndexEngine() choice, or, under MOKEY_ENGINE=auto, a per-GEMM
- * decision from K and the weight-side plane residency:
- *
- *  - indexMatmulTransBMag(): streams the dense int16 grid
- *    magnitude planes branch-free (GPE collapses to one exact
- *    register-blocked integer dot, simd.hh magDotBlock);
- *  - indexMatmulTransBCounting(): streams the 2-byte index/theta
- *    planes and SIMD-accumulates per-pair signed histograms — the
- *    paper's counting dataflow, as many streamed bytes per element
- *    as the mag plane.
- *
- * The counting engine merge-iterates the outlier sidecars (OPP); the
- * mag planes carry the outliers. Both tile the output for cache
- * reuse, and split row bands across the executor on @p lane.
- * Per-output-element arithmetic order is fixed within an engine, so
- * results are bit-identical for every thread count and lane
- * assignment, and identical to indexMatmulTransBScalar() under the
- * same engine selection.
+ * output activation tensor. This is the unfused entry point:
+ * indexMatmulTransBFused() with no epilogue and no output encode,
+ * streaming the dense int16 grid magnitude planes (one exact
+ * register-blocked integer dot, simd.hh magDotBlock). Per-output-
+ * element arithmetic is fixed, so results are bit-identical for
+ * every thread count, lane and split. Serving never calls it; the
+ * tests compose it with the float epilogues and encodeToPlanes() as
+ * the layer-at-a-time oracle of the fused forward walk.
  */
 Tensor indexMatmulTransB(const QuantizedTensor &a,
                          const QuantizedTensor &wt,
                          IndexMatmulStats *stats = nullptr,
                          Lane lane = {});
 
-/** The magnitude-plane engine, explicitly (ignores the selector). */
-Tensor indexMatmulTransBMag(const QuantizedTensor &a,
-                            const QuantizedTensor &wt,
-                            IndexMatmulStats *stats = nullptr,
-                            Lane lane = {});
-
 /**
- * The counting engine, explicitly (ignores the selector): for each
- * (activation row, weight row) pair the GPE accumulates a signed
- * integer histogram over the joint 3 b x 3 b index space from the
- * uint8 index / int8 theta byte planes (simd.hh pairHistogram), then
- * collapses it with one 64-entry dot against the decoded dictionary
- * products — one multiply per dictionary pair instead of one per
- * element, exactly the paper's multiplier-free dataflow. The
- * histogram phase is exact integer arithmetic, so it is identical
- * on every ISA; only the fixed-order collapse is FP. Streams 2 B
- * per element, like the mag engine, and only requires the byte
- * planes (PlaneSet::Bytes) to be materialized.
+ * The counting engine, unfused: for each (activation row, weight
+ * row) pair the GPE accumulates a signed integer histogram over the
+ * joint 3 b x 3 b index space from the uint8 index / int8 theta byte
+ * planes (simd.hh pairHistogram), then collapses it with one
+ * 64-entry dot against the decoded dictionary products — one
+ * multiply per dictionary pair instead of one per element, exactly
+ * the paper's multiplier-free dataflow — and merges the outlier
+ * sidecars (OPP). The histogram phase is exact integer arithmetic,
+ * so it is identical on every ISA; only the fixed-order collapse is
+ * FP. Streams 2 B per element, like the mag engine, and only
+ * requires the byte planes (PlaneSet::Bytes) to be materialized.
  */
 Tensor indexMatmulTransBCounting(const QuantizedTensor &a,
                                  const QuantizedTensor &wt,
                                  IndexMatmulStats *stats = nullptr,
                                  Lane lane = {});
-
-/** Counting-engine scalar path (single thread, bit-parity pin). */
-Tensor indexMatmulTransBCountingScalar(const QuantizedTensor &a,
-                                       const QuantizedTensor &wt,
-                                       IndexMatmulStats *stats =
-                                           nullptr);
-
-/**
- * Batched index-domain GEMM for multi-request serving: every
- * activation block multiplies the same weight tensor, so the row
- * spaces are stacked into one engine invocation (B x T rows) that
- * shares a single weight-side CodePlanes derivation, one per-column
- * constant fold, and one pool fan-out — the per-request costs the
- * batch scheduler exists to amortize.
- *
- * All blocks must share the activation dictionary (one serving
- * dictionary per tensor id). Returns one output tensor per block, in
- * order, each bit-identical to indexMatmulTransB() on that block
- * alone.
- */
-std::vector<Tensor>
-indexMatmulTransBBatched(const std::vector<const QuantizedTensor *> &as,
-                         const QuantizedTensor &wt,
-                         IndexMatmulStats *stats = nullptr,
-                         Lane lane = {});
-
-/**
- * The selected engine's scalar path: the same per-element kernel as
- * indexMatmulTransB() run entirely on the calling thread (dispatches
- * on resolveIndexEngine() like the parallel entry point). Exists so
- * parity tests can pin the parallel path bit-for-bit under either
- * engine.
- */
-Tensor indexMatmulTransBScalar(const QuantizedTensor &a,
-                               const QuantizedTensor &wt,
-                               IndexMatmulStats *stats = nullptr);
-
-/** Magnitude-engine scalar path (bit-parity pin for Mag). */
-Tensor indexMatmulTransBMagScalar(const QuantizedTensor &a,
-                                  const QuantizedTensor &wt,
-                                  IndexMatmulStats *stats = nullptr);
 
 /**
  * The seed scalar algorithm — one indexDot() per output element,
@@ -330,28 +270,27 @@ struct FusedGemmOut
  * How indexMatmulTransBFused() splits an (m x k) * (n x k)^T GEMM
  * across the pool: true for the weight-stationary split (chunks own
  * output columns), false for row bands (chunks own activation rows).
- * Weight-stationary when the streamed weight plane (kMagElemBytes =
- * 2 B per element for Mag, 2 B for Count) is at least 1 MiB: such a
- * plane is read from memory once per call instead of once per band.
- * Every BERT-base weight site (1.125 MiB and up) splits; the
- * 1/8-scale reduced model's planes (72 KiB at most) keep row bands.
- * Smaller planes stay cache-resident, so every thread re-reading
- * them is cheap and row bands save the split's second fan-out. A
- * pure function of its
+ * Weight-stationary when the streamed weight plane (2 B per element
+ * under either engine) is at least 1 MiB: such a plane is read from
+ * memory once per call instead of once per band. Every BERT-base
+ * weight site (1.125 MiB and up) splits; the 1/8-scale reduced
+ * model's planes (72 KiB at most) keep row bands. Smaller planes
+ * stay cache-resident, so every thread re-reading them is cheap and
+ * row bands save the split's second fan-out. A pure function of its
  * arguments; a 1-thread pool runs either split inline with the same
  * per-element work.
  */
-bool weightStationarySplit(size_t n, size_t k, IndexEngine engine);
+bool weightStationarySplit(size_t n, size_t k);
 
 /**
- * Plane-to-plane fused GEMM: the engine kernel of
- * indexMatmulTransB(), with the epilogue and the next layer's
- * activation quantization chained into the same walk.
+ * Plane-to-plane fused GEMM: the one index-domain GEMM walk, which
+ * every served GEMM runs on the mag engine, with the epilogue and
+ * the next consumer's activation quantization chained into it.
  *
- * The walk runs the exact tiled engine loops (identical noinline
- * mag-tile/countingDot calls, reading the planes' precomputed
- * per-row fold sums instead of re-folding the SoA2 + b*PoM2 terms
- * per call), then applies @p epilogue to each complete output row
+ * The walk runs the tiled engine loops (noinline magTile /
+ * countingDot, reading the planes' precomputed per-row fold sums
+ * instead of re-folding the SoA2 + b*PoM2 terms per call), then
+ * applies @p epilogue to each complete output row
  * and encodes it straight into the output planes with the same
  * comparator-ladder walk Quantizer::encodeToPlanes() runs (shared
  * LadderSpec::encodeRow) — no intermediate float tensor unless
@@ -373,12 +312,13 @@ bool weightStationarySplit(size_t n, size_t k, IndexEngine engine);
  *
  * Every output value, encoded plane byte, outlier entry and stats
  * count is bit-identical to the unfused sequence
- *   indexMatmulTransB* -> epilogue -> encodeToPlanes
+ *   indexMatmulTransB / indexMatmulTransBCounting -> epilogue
+ *     -> encodeToPlanes
  * under either split, for every thread count and lane, which the
  * index-matmul and graph-fusion parity tests pin.
  *
- * @param engine    resolved engine (Auto is a contract violation —
- *                  resolve per site first, see resolveIndexEngine())
+ * @param engine    Mag (what serving runs) or Count (replayed by
+ *                  mokey-bench and held by the tests)
  * @param epilogue  optional per-row output transform
  * @param outDict   when set, re-encode the output against this
  *                  dictionary into planes (the fused A->B handoff)

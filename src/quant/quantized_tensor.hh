@@ -69,7 +69,7 @@ constexpr size_t kMagElemBytes = sizeof(int16_t);
  * engines stream different encodings of the same codes: the counting
  * engine reads the 2-byte (index, theta) byte planes, the magnitude
  * engine reads the kMagElemBytes (2 B) int16 mag plane. Deriving only
- * what the active engine touches is the difference between 2 B and
+ * what one engine touches is the difference between 2 B and
  * 4 B of resident plane memory per element (see planesFootprint()).
  */
 enum class PlaneSet : unsigned
@@ -166,8 +166,8 @@ struct CodePlanes
      *
      * Every plane builder fills them (derivation, the fused
      * activation encoder, the fused GEMM epilogue), so for pinned
-     * weights the per-column GEMM fold — O(N*K) per call in the
-     * layer-at-a-time path — collapses to one array read.
+     * weights the per-column GEMM fold — O(N*K) if re-folded per
+     * call — collapses to one array read.
      */
     std::vector<int64_t> magRowSum;
     std::vector<double> byteRowSum;
@@ -428,7 +428,7 @@ class QuantizedTensor
      * Build the planes now (if absent) and pin them: an explicit
      * statement that this tensor's planes should stay resident —
      * weights that every forward pass multiplies against. Pass the
-     * active engine's enginePlaneSet() to keep only what it streams.
+     * engine's enginePlaneSet() to keep only what it streams.
      * The pin (and the built planes) survives copies; mutation still
      * drops the stale planes (correctness first), and the retained
      * pin makes the next planes() rebuild them. Returns the planes.

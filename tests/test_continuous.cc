@@ -87,55 +87,47 @@ class ContinuousFixture : public ::testing::Test
     QuantizedTransformer pipeline;
 };
 
-TEST_F(ContinuousFixture, BitIdenticalAcrossEnginesModesAndThreads)
+TEST_F(ContinuousFixture, BitIdenticalAcrossModesAndThreads)
 {
     const auto inputs = raggedInputs();
-    const EngineGuard engine_guard;
     const ThreadCountGuard thread_guard;
     const size_t hw = std::max<size_t>(
         1, std::thread::hardware_concurrency());
 
-    for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count, IndexEngine::Auto}) {
-        setIndexEngine(engine);
-        for (const QuantMode mode :
-             {QuantMode::WeightsOnly,
-              QuantMode::WeightsAndActivations}) {
-            // One-shot references, computed single-threaded.
-            setThreadCount(1);
-            std::vector<Tensor> refs;
-            for (const Tensor &in : inputs)
-                refs.push_back(pipeline.forward(in, mode));
+    for (const QuantMode mode :
+         {QuantMode::WeightsOnly, QuantMode::WeightsAndActivations}) {
+        // One-shot references, computed single-threaded.
+        setThreadCount(1);
+        std::vector<Tensor> refs;
+        for (const Tensor &in : inputs)
+            refs.push_back(pipeline.forward(in, mode));
 
-            for (const size_t t : {size_t{1}, size_t{2}, hw}) {
-                setThreadCount(t);
-                // Small maxBatch + tight chunk budget force real
-                // join/leave churn and prefill deferrals: requests
-                // enter the running batch as slots free up and at
-                // different layers.
-                ContinuousSchedulerConfig cfg;
-                cfg.maxBatch = 3;
-                cfg.decodeMaxRows = 2;
-                cfg.chunkTokens = 16;
-                ContinuousScheduler sched(pipeline, mode, cfg);
-                std::vector<std::future<Tensor>> futs;
-                for (const Tensor &in : inputs)
-                    futs.push_back(sched.submit(Tensor(in)));
-                for (size_t i = 0; i < futs.size(); ++i)
-                    expectBitIdentical(
-                        refs[i], futs[i].get(),
-                        std::string("engine=") +
-                            indexEngineName(engine) + " mode=" +
-                            std::to_string(static_cast<int>(mode)) +
-                            " threads=" + std::to_string(t) +
-                            " req=" + std::to_string(i));
-                // Futures resolve before the step thread merges
-                // its counters; drain() orders the snapshot.
-                sched.drain();
-                const auto st = sched.stats();
-                EXPECT_EQ(st.completed, inputs.size());
-                EXPECT_EQ(st.failedRequests, 0u);
-            }
+        for (const size_t t : {size_t{1}, size_t{2}, hw}) {
+            setThreadCount(t);
+            // Small maxBatch + tight chunk budget force real
+            // join/leave churn and prefill deferrals: requests enter
+            // the running batch as slots free up and at different
+            // layers.
+            ContinuousSchedulerConfig cfg;
+            cfg.maxBatch = 3;
+            cfg.decodeMaxRows = 2;
+            cfg.chunkTokens = 16;
+            ContinuousScheduler sched(pipeline, mode, cfg);
+            std::vector<std::future<Tensor>> futs;
+            for (const Tensor &in : inputs)
+                futs.push_back(sched.submit(Tensor(in)));
+            for (size_t i = 0; i < futs.size(); ++i)
+                expectBitIdentical(
+                    refs[i], futs[i].get(),
+                    "mode=" + std::to_string(static_cast<int>(mode)) +
+                        " threads=" + std::to_string(t) +
+                        " req=" + std::to_string(i));
+            // Futures resolve before the step thread merges its
+            // counters; drain() orders the snapshot.
+            sched.drain();
+            const auto st = sched.stats();
+            EXPECT_EQ(st.completed, inputs.size());
+            EXPECT_EQ(st.failedRequests, 0u);
         }
     }
 }

@@ -1,22 +1,23 @@
 /**
  * @file
- * Plane-to-plane layer-graph fusion tests: the fused forward walk
- * (MOKEY_GRAPH_FUSE) is a perf optimization, never a numerics change
- * — its outputs must match the layer-at-a-time path bit-for-bit
- * across engines x QuantMode x thread counts x lanes x encode paths
- * — and the self-calibrating per-site engine selection must be
- * deterministic once pinned: an enginePins() snapshot replayed via
- * pinEngines() reproduces identical engine choices and outputs.
+ * Forward-walk tests: the one fused layer step that forward(),
+ * forwardBatch() and forwardStep() all run chains each GEMM's
+ * epilogue and the next GEMM's activation encode into the GEMM's own
+ * walk. That fusion is a perf optimization, never a numerics change:
+ * every entry point must equal, bit for bit, a layer-at-a-time
+ * oracle composed here from public pieces only — the unfused
+ * indexMatmulTransB, the float row operators and encodeToPlanes —
+ * across thread counts, lanes and batch stackings.
  */
 
+#include <cmath>
 #include <string>
-#include <thread>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
 #include "model/config.hh"
 #include "model/pipeline.hh"
-#include "quant/engine.hh"
 #include "tensor/ops.hh"
 #include "test_util.hh"
 
@@ -40,6 +41,121 @@ expectBitIdentical(const Tensor &a, const Tensor &b,
     for (size_t i = 0; i < a.size(); ++i)
         ASSERT_EQ(a.raw()[i], b.raw()[i]) << what << " elem=" << i;
 }
+
+/**
+ * The layer-at-a-time W+A forward: every GEMM is the unfused
+ * indexMatmulTransB over operands encoded by encodeToPlanes() against
+ * the pipeline's profiled activation dictionaries, and every
+ * epilogue is a whole-tensor float operator run after it. The
+ * weights are re-quantized with the same buildDictionary + encode
+ * calls quantizeWeights() makes, which are deterministic. Runs the
+ * attention jobs serially and accumulates its own pair stats.
+ */
+class LayerAtATimeOracle
+{
+  public:
+    LayerAtATimeOracle(const Transformer &model, const Quantizer &quantizer,
+                       const QuantizedTransformer &pipe)
+        : model(model), quantizer(quantizer), pipe(pipe)
+    {
+        for (const EncoderWeights &w : model.weights()) {
+            Weights &q = weights.emplace_back();
+            for (const auto &[src, dst] :
+                 {std::pair{&w.wq, &q.wq}, std::pair{&w.wk, &q.wk},
+                  std::pair{&w.wv, &q.wv}, std::pair{&w.wo, &q.wo},
+                  std::pair{&w.w1, &q.w1}, std::pair{&w.w2, &q.w2}})
+                *dst = quantizer.encode(*src,
+                                        quantizer.buildDictionary(*src));
+        }
+    }
+
+    /** All layers over stacked rows delimited by @p starts. */
+    Tensor
+    forward(const Tensor &input, const std::vector<size_t> &starts)
+    {
+        Tensor x = input;
+        for (size_t l = 0; l < weights.size(); ++l)
+            x = layer(l, x, starts);
+        return x;
+    }
+
+    IndexMatmulStats stats;
+
+  private:
+    struct Weights
+    {
+        QuantizedTensor wq, wk, wv, wo, w1, w2;
+    };
+
+    Tensor
+    layer(size_t l, const Tensor &input, const std::vector<size_t> &starts)
+    {
+        const ModelConfig &cfg = model.config();
+        const EncoderWeights &w = model.weights()[l];
+        const Weights &ql = weights[l];
+        const size_t hd = cfg.headDim();
+        const auto enc = [&](const char *name, const Tensor &t) {
+            return quantizer.encodeToPlanes(
+                t, pipe.activationDict({l, name}), PlaneSet::Mag);
+        };
+        const auto gemm = [&](const QuantizedTensor &a,
+                              const QuantizedTensor &b) {
+            return indexMatmulTransB(a, b, &stats);
+        };
+
+        const QuantizedTensor qx = enc("x", input);
+        Tensor q = gemm(qx, ql.wq);
+        Tensor k = gemm(qx, ql.wk);
+        Tensor v = gemm(qx, ql.wv);
+        addBias(q, w.bq);
+        addBias(k, w.bk);
+        addBias(v, w.bv);
+
+        Tensor ctx(input.rows(), cfg.hidden);
+        const auto inv_sqrt =
+            static_cast<float>(1.0 / std::sqrt(static_cast<double>(hd)));
+        for (size_t b = 0; b + 1 < starts.size(); ++b) {
+            const size_t r0 = starts[b];
+            const size_t seq = starts[b + 1] - r0;
+            for (size_t h = 0; h < cfg.heads; ++h) {
+                Tensor qh(seq, hd), kh(seq, hd), vht(hd, seq);
+                for (size_t r = 0; r < seq; ++r) {
+                    for (size_t c = 0; c < hd; ++c) {
+                        qh.at(r, c) = q.at(r0 + r, h * hd + c);
+                        kh.at(r, c) = k.at(r0 + r, h * hd + c);
+                        vht.at(c, r) = v.at(r0 + r, h * hd + c);
+                    }
+                }
+                Tensor scores = gemm(enc("q", qh), enc("k", kh));
+                scale(scores, inv_sqrt);
+                softmaxRows(scores);
+                const Tensor out = gemm(enc("p", scores), enc("v", vht));
+                for (size_t r = 0; r < seq; ++r)
+                    for (size_t c = 0; c < hd; ++c)
+                        ctx.at(r0 + r, h * hd + c) = out.at(r, c);
+            }
+        }
+
+        Tensor attn = gemm(enc("ctx", ctx), ql.wo);
+        addBias(attn, w.bo);
+        Tensor res1 = add(attn, input);
+        layerNormRows(res1);
+
+        Tensor mid = gemm(enc("mid_in", res1), ql.w1);
+        addBias(mid, w.b1);
+        gelu(mid);
+        Tensor out = gemm(enc("mid", mid), ql.w2);
+        addBias(out, w.b2);
+        Tensor res2 = add(out, res1);
+        layerNormRows(res2);
+        return res2;
+    }
+
+    const Transformer &model;
+    const Quantizer &quantizer;
+    const QuantizedTransformer &pipe;
+    std::vector<Weights> weights;
+};
 
 class GraphFusionFixture : public ::testing::Test
 {
@@ -67,102 +183,87 @@ class GraphFusionFixture : public ::testing::Test
         return inputs;
     }
 
+    /** forwardStep chained over every layer. */
+    Tensor
+    stepChain(const Tensor &in, const std::vector<size_t> &starts,
+              Lane lane = {}) const
+    {
+        Tensor x = in;
+        for (size_t l = 0; l < pipeline.stepCount(); ++l)
+            x = pipeline.forwardStep(l, x, starts,
+                                     QuantMode::WeightsAndActivations,
+                                     lane);
+        return x;
+    }
+
     Transformer model;
     ExpDictionary exp;
     Quantizer quantizer;
     QuantizedTransformer pipeline;
 };
 
-TEST_F(GraphFusionFixture, KnobDefaults)
-{
-    // Unless the environment overrides them, graph fusion is on and
-    // self-calibration is off (parity-first defaults).
-    EXPECT_TRUE(graphFuse());
-    EXPECT_FALSE(engineCalibration());
-}
-
 TEST_F(GraphFusionFixture, FusedForwardBitIdenticalToLayerAtATime)
 {
-    // The heart of the tentpole contract: chaining each GEMM's
-    // epilogue and the next GEMM's re-quantization into the band
-    // walk, reading precomputed fold sums, and hoisting the site
-    // constants must all be invisible in the output bits.
+    // Chaining each GEMM's epilogue and the next GEMM's
+    // re-quantization into its walk, reading precomputed fold sums,
+    // and hoisting the site constants must all be invisible in the
+    // output bits and the GEMM pair stats.
     const Tensor in = model.makeInput(11, 471);
-    const EngineGuard engine_guard;
+    const std::vector<size_t> starts{0, in.rows()};
+    const QuantMode mode = QuantMode::WeightsAndActivations;
+    LayerAtATimeOracle oracle(model, quantizer, pipeline);
+    const Tensor ref = oracle.forward(in, starts);
+
     const ThreadCountGuard thread_guard;
-    const GraphFuseGuard graph_guard;
-    const FusedEncodeGuard encode_guard;
-    const size_t hw = std::max<size_t>(
-        1, std::thread::hardware_concurrency());
-
-    for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count, IndexEngine::Auto}) {
-        setIndexEngine(engine);
-        for (const QuantMode mode :
-             {QuantMode::WeightsOnly,
-              QuantMode::WeightsAndActivations}) {
-            for (const bool fused_enc : {true, false}) {
-                setFusedActEncode(fused_enc);
-
-                setGraphFuse(false);
-                setThreadCount(1);
-                const Tensor ref = pipeline.forward(in, mode);
-
-                setGraphFuse(true);
-                for (const size_t t : {size_t{1}, size_t{2}, hw}) {
-                    setThreadCount(t);
-                    for (const Lane lane :
-                         {Lane{}, Lane::acquire()}) {
-                        expectBitIdentical(
-                            ref, pipeline.forward(in, mode, lane),
-                            std::string("engine=") +
-                                indexEngineName(engine) + " mode=" +
-                                std::to_string(
-                                    static_cast<int>(mode)) +
-                                " fused_enc=" +
-                                std::to_string(fused_enc) +
-                                " threads=" + std::to_string(t) +
-                                " lane=" +
-                                std::to_string(lane.id()));
-                    }
-                }
-            }
+    for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
+        setThreadCount(t);
+        for (const Lane lane : {Lane{}, Lane::acquire()}) {
+            const std::string at = "threads=" + std::to_string(t) +
+                " lane=" + std::to_string(lane.id());
+            const uint64_t g0 = pipeline.matmulStats().gaussianPairs;
+            const uint64_t o0 = pipeline.matmulStats().outlierPairs;
+            expectBitIdentical(ref, pipeline.forward(in, mode, lane),
+                               "forward " + at);
+            EXPECT_EQ(pipeline.matmulStats().gaussianPairs - g0,
+                      oracle.stats.gaussianPairs.load())
+                << at;
+            EXPECT_EQ(pipeline.matmulStats().outlierPairs - o0,
+                      oracle.stats.outlierPairs.load())
+                << at;
+            expectBitIdentical(ref, stepChain(in, starts, lane),
+                               "forwardStep chain " + at);
         }
     }
 }
 
 TEST_F(GraphFusionFixture, FusedForwardBatchBitIdentical)
 {
-    // Batched serving takes the same fused walk over the stacked
-    // row space; each ragged request must still come out bit-equal
-    // to the unfused batch.
+    // Batched serving takes the same walk over the stacked row space;
+    // each ragged request must come out bit-equal to the oracle on
+    // that request alone, and so must a forwardStep chain over the
+    // same stacking.
     const auto inputs = raggedInputs();
-    const EngineGuard engine_guard;
+    const QuantMode mode = QuantMode::WeightsAndActivations;
+    LayerAtATimeOracle oracle(model, quantizer, pipeline);
+    std::vector<Tensor> refs;
+    for (const Tensor &in : inputs)
+        refs.push_back(oracle.forward(in, {0, in.rows()}));
+
     const ThreadCountGuard thread_guard;
-    const GraphFuseGuard graph_guard;
-    const size_t hw = std::max<size_t>(
-        1, std::thread::hardware_concurrency());
-
-    for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count, IndexEngine::Auto}) {
-        setIndexEngine(engine);
-        setGraphFuse(false);
-        setThreadCount(1);
-        const auto refs = pipeline.forwardBatch(
-            inputs, QuantMode::WeightsAndActivations);
-
-        setGraphFuse(true);
-        for (const size_t t : {size_t{1}, size_t{2}, hw}) {
-            setThreadCount(t);
-            const auto outs = pipeline.forwardBatch(
-                inputs, QuantMode::WeightsAndActivations);
-            ASSERT_EQ(outs.size(), refs.size());
-            for (size_t i = 0; i < outs.size(); ++i)
-                expectBitIdentical(
-                    refs[i], outs[i],
-                    std::string("engine=") + indexEngineName(engine) +
-                        " threads=" + std::to_string(t) + " req=" +
-                        std::to_string(i));
+    for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
+        setThreadCount(t);
+        const auto outs = pipeline.forwardBatch(inputs, mode);
+        const auto chained = mapStackedBatch(
+            inputs, [&](const Tensor &x, const std::vector<size_t> &st) {
+                return stepChain(x, st);
+            });
+        ASSERT_EQ(outs.size(), refs.size());
+        ASSERT_EQ(chained.size(), refs.size());
+        for (size_t i = 0; i < refs.size(); ++i) {
+            const std::string at = "threads=" + std::to_string(t) +
+                " req=" + std::to_string(i);
+            expectBitIdentical(refs[i], outs[i], "forwardBatch " + at);
+            expectBitIdentical(refs[i], chained[i], "step chain " + at);
         }
     }
 }
@@ -176,11 +277,7 @@ TEST_F(GraphFusionFixture, BatchRowsInvariantToStackOffset)
     // each stacking must reproduce the request's own forward() bit
     // for bit, at 1, 2 and 4 threads.
     const Tensor target = model.makeInput(7, 321);
-    const EngineGuard engine_guard;
     const ThreadCountGuard thread_guard;
-    const GraphFuseGuard graph_guard;
-    setIndexEngine(IndexEngine::Mag);
-    setGraphFuse(true);
     for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
         setThreadCount(t);
         const Tensor alone =
@@ -204,152 +301,6 @@ TEST_F(GraphFusionFixture, BatchRowsInvariantToStackOffset)
                                    " offset=" + std::to_string(offset));
         }
     }
-}
-
-TEST_F(GraphFusionFixture, EnginePinsExposePerSiteProfile)
-{
-    // One entry per (layer, weight site), undecided until
-    // calibration runs, reporting the process-wide selection.
-    const auto pins = pipeline.enginePins();
-    ASSERT_EQ(pins.size(), tinyConfig().layers * kGraphSiteCount);
-    const char *expect[] = {"wq", "wk", "wv", "wo", "w1", "w2"};
-    for (size_t i = 0; i < pins.size(); ++i) {
-        EXPECT_EQ(pins[i].layer, i / kGraphSiteCount);
-        EXPECT_EQ(pins[i].site, expect[i % kGraphSiteCount]);
-        EXPECT_FALSE(pins[i].pinned);
-        EXPECT_EQ(pins[i].engine, indexEngine());
-    }
-}
-
-TEST_F(GraphFusionFixture, PinnedProfileMatchesFixedEngine)
-{
-    // Pinning every site to Count under MOKEY_ENGINE=auto must
-    // reproduce the fixed-Count forward bit-for-bit: under Auto the
-    // activation x activation GEMMs already resolve to counting, so
-    // the pins decide every remaining (weight-site) GEMM.
-    const Tensor in = model.makeInput(10, 913);
-    const EngineGuard engine_guard;
-    const ThreadCountGuard thread_guard;
-    const GraphFuseGuard graph_guard;
-    setGraphFuse(true);
-    setThreadCount(1);
-
-    setIndexEngine(IndexEngine::Count);
-    const Tensor ref =
-        pipeline.forward(in, QuantMode::WeightsAndActivations);
-
-    setIndexEngine(IndexEngine::Auto);
-    auto pins = pipeline.enginePins();
-    for (EnginePin &p : pins) {
-        p.engine = IndexEngine::Count;
-        p.pinned = true;
-    }
-    pipeline.pinEngines(pins);
-    const auto applied = pipeline.enginePins();
-    for (const EnginePin &p : applied) {
-        EXPECT_TRUE(p.pinned);
-        EXPECT_EQ(p.engine, IndexEngine::Count);
-    }
-    expectBitIdentical(
-        ref, pipeline.forward(in, QuantMode::WeightsAndActivations),
-        "auto+count pins vs fixed count");
-}
-
-TEST_F(GraphFusionFixture, CalibrationPinsEverySiteDeterministically)
-{
-    // Under MOKEY_CALIBRATE + MOKEY_ENGINE=auto, the first two fused
-    // iterations profile mag vs count per site and pin the winner;
-    // the pinned profile must (a) cover every site, (b) survive and
-    // not drift over further forwards, and (c) replay exactly onto a
-    // fresh pipeline via pinEngines(), making the calibrated choice
-    // reproducible.
-    const Tensor in = model.makeInput(12, 555);
-    const EngineGuard engine_guard;
-    const ThreadCountGuard thread_guard;
-    const GraphFuseGuard graph_guard;
-    const CalibrateGuard calib_guard;
-    setGraphFuse(true);
-    setThreadCount(1);
-    setIndexEngine(IndexEngine::Auto);
-    setEngineCalibration(true);
-
-    pipeline.forward(in, QuantMode::WeightsAndActivations);
-    pipeline.forward(in, QuantMode::WeightsAndActivations);
-    const auto pins = pipeline.enginePins();
-    ASSERT_EQ(pins.size(), tinyConfig().layers * kGraphSiteCount);
-    for (const EnginePin &p : pins) {
-        EXPECT_TRUE(p.pinned) << "layer=" << p.layer << " " << p.site;
-        EXPECT_NE(p.engine, IndexEngine::Auto);
-    }
-
-    // Further forwards run on the pinned profile: stable pins,
-    // bit-identical repeated outputs.
-    const Tensor a =
-        pipeline.forward(in, QuantMode::WeightsAndActivations);
-    const Tensor b =
-        pipeline.forward(in, QuantMode::WeightsAndActivations);
-    expectBitIdentical(a, b, "pinned forwards");
-    const auto pins2 = pipeline.enginePins();
-    ASSERT_EQ(pins2.size(), pins.size());
-    for (size_t i = 0; i < pins.size(); ++i)
-        EXPECT_EQ(pins[i].engine, pins2[i].engine) << i;
-
-    // Replay the profile onto a second pipeline (calibration off):
-    // identical engine choices, identical outputs.
-    setEngineCalibration(false);
-    QuantizedTransformer replay(model, quantizer);
-    replay.quantizeWeights();
-    std::vector<Tensor> batch;
-    for (int i = 0; i < 4; ++i)
-        batch.push_back(model.makeInput(16, 200 + i));
-    replay.profileActivations(batch);
-    replay.pinEngines(pins);
-    const auto rp = replay.enginePins();
-    ASSERT_EQ(rp.size(), pins.size());
-    for (size_t i = 0; i < pins.size(); ++i) {
-        EXPECT_TRUE(rp[i].pinned) << i;
-        EXPECT_EQ(rp[i].engine, pins[i].engine) << i;
-    }
-    expectBitIdentical(
-        a, replay.forward(in, QuantMode::WeightsAndActivations),
-        "replayed profile");
-}
-
-TEST_F(GraphFusionFixture, AutoBudgetOverrideSteersDecisionTable)
-{
-    // The calibrated (or overridden) mag budget is what the Auto
-    // decision table reads: a tiny budget routes even a small GEMM
-    // to counting, a large one lets a resident mag plane win.
-    const MagBudgetGuard budget_guard;
-    const Tensor &src = model.weights()[0].wq;
-    QuantizedTensor w =
-        quantizer.encode(src, quantizer.buildDictionary(src));
-    w.pinPlanes(PlaneSet::Mag);
-    const auto fp = w.planesFootprint();
-    ASSERT_TRUE(fp.resident && fp.magResident);
-
-    setAutoMagBudgetBytes(1);
-    EXPECT_EQ(autoMagBudgetBytes(), 1u);
-    EXPECT_EQ(autoEngineChoice(4, w.rows(), w.cols(), fp),
-              IndexEngine::Count);
-
-    setAutoMagBudgetBytes(size_t{1} << 30);
-    EXPECT_EQ(autoEngineChoice(4, w.rows(), w.cols(), fp),
-              IndexEngine::Mag);
-
-    // 0 re-resolves the default (constant; calibration is off).
-    setAutoMagBudgetBytes(0);
-    EXPECT_EQ(autoMagBudgetBytes(), kAutoMagBudgetBytes);
-}
-
-TEST_F(GraphFusionFixture, CalibratedBudgetProbeIsClampedAndCached)
-{
-    // The cache probe must land in the documented clamp range and be
-    // stable across calls (cached per process).
-    const size_t b0 = calibrateMagBudget();
-    EXPECT_GE(b0, size_t{4} << 20);
-    EXPECT_LE(b0, size_t{64} << 20);
-    EXPECT_EQ(calibrateMagBudget(), b0);
 }
 
 } // anonymous namespace

@@ -263,9 +263,9 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{12, 12, 48, 0.0, 0.01, 0.0, 10.0, 0.03}));
 
 /**
- * Engine-specific coverage: the tiled/parallel kernel must be
- * bit-identical to its scalar path at every thread count, track the
- * seed reference algorithm, and keep its pair statistics invariant
+ * Engine-specific coverage: the tiled/parallel kernel must equal the
+ * grid oracle at every thread count, track the seed reference
+ * algorithm, and keep its pair statistics invariant
  * under threading — all on deliberately outlier-heavy operands so
  * the OPP sidecar path is exercised hard.
  */
@@ -295,7 +295,7 @@ class EngineParity : public ::testing::TestWithParam<Shape>
     Quantizer quantizer;
 };
 
-TEST_P(EngineParity, TiledParallelBitIdenticalToScalar)
+TEST_P(EngineParity, TiledParallelBitIdenticalToGridOracle)
 {
     const Shape s = GetParam();
     const auto a = makeOperand(s.m, s.k, s.mean_a, s.std_a,
@@ -303,25 +303,24 @@ TEST_P(EngineParity, TiledParallelBitIdenticalToScalar)
     const auto wt = makeOperand(s.n, s.k, s.mean_w, s.std_w,
                                 s.tail_frac, 6000 + s.n);
 
-    IndexMatmulStats scalar_stats;
-    const Tensor scalar =
-        indexMatmulTransBScalar(a, wt, &scalar_stats);
-
-    const size_t original = threadCount();
+    const Tensor exact = gridOracle(a, wt);
+    const ThreadCountGuard thread_guard;
+    setThreadCount(1);
+    IndexMatmulStats one_stats;
+    indexMatmulTransB(a, wt, &one_stats);
     for (const size_t t : {1u, 2u, 5u}) {
         setThreadCount(t);
         IndexMatmulStats stats;
         const Tensor par = indexMatmulTransB(a, wt, &stats);
         // Bit-identical, not merely close: EXPECT_EQ on every float.
-        for (size_t i = 0; i < scalar.size(); ++i)
-            EXPECT_EQ(scalar.raw()[i], par.raw()[i])
+        for (size_t i = 0; i < exact.size(); ++i)
+            EXPECT_EQ(exact.raw()[i], par.raw()[i])
                 << "threads=" << t << " elem=" << i;
-        EXPECT_EQ(stats.gaussianPairs, scalar_stats.gaussianPairs)
+        EXPECT_EQ(stats.gaussianPairs, one_stats.gaussianPairs)
             << "threads=" << t;
-        EXPECT_EQ(stats.outlierPairs, scalar_stats.outlierPairs)
+        EXPECT_EQ(stats.outlierPairs, one_stats.outlierPairs)
             << "threads=" << t;
     }
-    setThreadCount(original);
 }
 
 TEST_P(EngineParity, TracksSeedReferenceAlgorithm)
@@ -380,91 +379,24 @@ TEST_P(EngineParity, FixedEngineBitIdenticalToScalar)
     setThreadCount(original);
 }
 
-TEST_P(EngineParity, BatchedGemmBitIdenticalToPerRequestCalls)
-{
-    // The serving entry point: stacking B activation blocks into one
-    // engine invocation must reproduce each standalone product bit
-    // for bit, and route exactly the same pair counts.
-    const Shape s = GetParam();
-    const auto wt = makeOperand(s.n, s.k, s.mean_w, s.std_w,
-                                s.tail_frac, 6000 + s.n);
-
-    // Ragged batch: four requests of different row counts sharing
-    // one dictionary (encoded from one stacked tensor, then split).
-    const size_t lens[] = {s.m, 1, std::max<size_t>(1, s.m / 2),
-                           s.m + 3};
-    size_t total = 0;
-    for (const size_t l : lens)
-        total += l;
-    const auto stacked = makeOperand(total, s.k, s.mean_a, s.std_a,
-                                     s.tail_frac, 5000 + s.m);
-    std::vector<QuantizedTensor> blocks;
-    size_t r0 = 0;
-    for (const size_t l : lens) {
-        QuantizedTensor b(l, s.k, stacked.dictionary());
-        for (size_t r = 0; r < l; ++r)
-            for (size_t c = 0; c < s.k; ++c)
-                b.at(r, c) = stacked.at(r0 + r, c);
-        blocks.push_back(std::move(b));
-        r0 += l;
-    }
-
-    std::vector<const QuantizedTensor *> parts;
-    for (const auto &b : blocks)
-        parts.push_back(&b);
-
-    // The batched entry point dispatches on the engine selector like
-    // the plain one; the stacking property must hold for both.
-    const EngineGuard engine_guard;
-    for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count}) {
-        setIndexEngine(engine);
-        IndexMatmulStats batch_stats;
-        const auto outs =
-            indexMatmulTransBBatched(parts, wt, &batch_stats);
-        ASSERT_EQ(outs.size(), blocks.size());
-
-        IndexMatmulStats seq_stats;
-        for (size_t b = 0; b < blocks.size(); ++b) {
-            const Tensor one =
-                indexMatmulTransB(blocks[b], wt, &seq_stats);
-            ASSERT_EQ(outs[b].rows(), one.rows());
-            for (size_t i = 0; i < one.size(); ++i)
-                EXPECT_EQ(one.raw()[i], outs[b].raw()[i])
-                    << "engine=" << indexEngineName(engine)
-                    << " block=" << b << " elem=" << i;
-        }
-        EXPECT_EQ(batch_stats.gaussianPairs, seq_stats.gaussianPairs);
-        EXPECT_EQ(batch_stats.outlierPairs, seq_stats.outlierPairs);
-    }
-}
-
 TEST_P(EngineParity, CountingBitIdenticalToScalarThreadsAndLanes)
 {
     // The counting engine's load-bearing parity: for every thread
     // count (1, 2, hardware) and lane assignment, the byte-plane
-    // histogram engine is bit-identical to indexMatmulTransBScalar
-    // under the Count selection — per-output-element arithmetic
-    // order is fixed, and the histogram phase is exact integers.
+    // histogram engine is bit-identical to its own single-thread
+    // run — per-output-element arithmetic order is fixed, and the
+    // histogram phase is exact integers.
     const Shape s = GetParam();
     const auto a = makeOperand(s.m, s.k, s.mean_a, s.std_a,
                                s.tail_frac, 5000 + s.m);
     const auto wt = makeOperand(s.n, s.k, s.mean_w, s.std_w,
                                 s.tail_frac, 6000 + s.n);
 
-    const EngineGuard engine_guard;
     const ThreadCountGuard thread_guard;
-    setIndexEngine(IndexEngine::Count);
-
+    setThreadCount(1);
     IndexMatmulStats scalar_stats;
     const Tensor scalar =
-        indexMatmulTransBScalar(a, wt, &scalar_stats);
-
-    // The selector-routed scalar path IS the counting scalar kernel.
-    const Tensor explicit_scalar =
-        indexMatmulTransBCountingScalar(a, wt);
-    for (size_t i = 0; i < scalar.size(); ++i)
-        ASSERT_EQ(scalar.raw()[i], explicit_scalar.raw()[i]);
+        indexMatmulTransBCounting(a, wt, &scalar_stats);
 
     const size_t hw = std::max<size_t>(
         1, std::thread::hardware_concurrency());
@@ -472,7 +404,8 @@ TEST_P(EngineParity, CountingBitIdenticalToScalarThreadsAndLanes)
         setThreadCount(t);
         for (const Lane lane : {Lane{}, Lane::acquire()}) {
             IndexMatmulStats stats;
-            const Tensor par = indexMatmulTransB(a, wt, &stats, lane);
+            const Tensor par =
+                indexMatmulTransBCounting(a, wt, &stats, lane);
             for (size_t i = 0; i < scalar.size(); ++i)
                 ASSERT_EQ(scalar.raw()[i], par.raw()[i])
                     << "threads=" << t << " lane=" << lane.id()
@@ -517,7 +450,7 @@ TEST_P(EngineParity, CountingRoutesPairsLikeMagEngine)
                                 s.tail_frac, 6000 + s.n);
 
     IndexMatmulStats mag_stats, count_stats;
-    const Tensor mag = indexMatmulTransBMag(a, wt, &mag_stats);
+    const Tensor mag = indexMatmulTransB(a, wt, &mag_stats);
     const Tensor count =
         indexMatmulTransBCounting(a, wt, &count_stats);
 
@@ -540,35 +473,18 @@ INSTANTIATE_TEST_SUITE_P(
         Shape{64, 8, 48, 0.0, 0.3, 0.0, 0.02, 0.0},
         Shape{5, 3, 300, 2.0, 1.0, -2.0, 0.7, 0.33}));
 
-TEST(EngineSelector, DispatchesBothEntryPoints)
+TEST(EngineSelector, ServingRunsMag)
 {
+    // The engine constants mokey-bench reads: serving resolves every
+    // GEMM to the mag engine and streams its planes.
     ExpDictionary exp(1.179, -0.977, 8);
     Quantizer quantizer(exp);
     Rng rng(661);
     Tensor ta(9, 80, rng.gaussianVector(720, 0.0, 1.0));
-    Tensor tw(7, 80, rng.gaussianVector(560, 0.2, 0.7));
     const auto qa =
         quantizer.encode(ta, quantizer.buildDictionary(ta));
-    const auto qw =
-        quantizer.encode(tw, quantizer.buildDictionary(tw));
-
-    const EngineGuard engine_guard;
-
-    setIndexEngine(IndexEngine::Count);
-    EXPECT_EQ(indexEngine(), IndexEngine::Count);
-    const Tensor via_selector = indexMatmulTransB(qa, qw);
-    const Tensor direct = indexMatmulTransBCounting(qa, qw);
-    for (size_t i = 0; i < direct.size(); ++i)
-        ASSERT_EQ(via_selector.raw()[i], direct.raw()[i]);
-
-    setIndexEngine(IndexEngine::Mag);
-    const Tensor mag_sel = indexMatmulTransB(qa, qw);
-    const Tensor mag_direct = indexMatmulTransBMag(qa, qw);
-    for (size_t i = 0; i < mag_direct.size(); ++i)
-        ASSERT_EQ(mag_sel.raw()[i], mag_direct.raw()[i]);
-
-    EXPECT_STREQ(indexEngineName(IndexEngine::Mag), "mag");
-    EXPECT_STREQ(indexEngineName(IndexEngine::Count), "count");
+    EXPECT_EQ(indexEngine(), IndexEngine::Mag);
+    EXPECT_EQ(resolveIndexEngine(qa, qa), IndexEngine::Mag);
     EXPECT_EQ(enginePlaneSet(IndexEngine::Mag), PlaneSet::Mag);
     EXPECT_EQ(enginePlaneSet(IndexEngine::Count), PlaneSet::Bytes);
 }
@@ -597,98 +513,6 @@ TEST(EngineSelector, CountingStreamsOnlyBytePlanes)
     }
 }
 
-TEST(AutoEngine, DecisionTable)
-{
-    // The MOKEY_ENGINE=auto heuristic as a pure decision table
-    // (ROADMAP: "pick count when planes are cold or K is
-    // DRAM-bound").
-    PlanesFootprint cold; // nothing resident
-    PlanesFootprint bytes_only;
-    bytes_only.resident = true;
-    bytes_only.bytesResident = true;
-    PlanesFootprint mag_warm;
-    mag_warm.resident = true;
-    mag_warm.magResident = true;
-
-    // Cold weight planes -> counting, regardless of shape.
-    EXPECT_EQ(autoEngineChoice(16, 16, 64, cold),
-              IndexEngine::Count);
-    // Byte planes resident (a counting-engine pin) -> counting.
-    EXPECT_EQ(autoEngineChoice(16, 16, 64, bytes_only),
-              IndexEngine::Count);
-    // Warm mag plane and a cache-resident working set -> mag.
-    EXPECT_EQ(autoEngineChoice(16, 16, 64, mag_warm),
-              IndexEngine::Mag);
-    // DRAM-bound K: the streamed mag working set exceeds the budget
-    // even though the mag plane is warm -> counting.
-    const size_t huge_k =
-        kAutoMagBudgetBytes / (2 * 64 * kMagElemBytes) + 1;
-    EXPECT_EQ(autoEngineChoice(64, 64, huge_k, mag_warm),
-              IndexEngine::Count);
-    // Exactly at the budget counts as resident.
-    const size_t fit_k = kAutoMagBudgetBytes / (2 * 64 * kMagElemBytes);
-    EXPECT_EQ(autoEngineChoice(64, 64, fit_k, mag_warm),
-              IndexEngine::Mag);
-
-    // Weight pinning policy: fixed engines pin what they stream;
-    // Auto pins by the weight's own size.
-    EXPECT_EQ(weightPlaneSet(IndexEngine::Mag, 4096, 4096),
-              PlaneSet::Mag);
-    EXPECT_EQ(weightPlaneSet(IndexEngine::Count, 16, 16),
-              PlaneSet::Bytes);
-    EXPECT_EQ(weightPlaneSet(IndexEngine::Auto, 64, 64),
-              PlaneSet::Mag);
-    const size_t big_n =
-        kAutoMagBudgetBytes / (2 * 64 * kMagElemBytes) + 1;
-    EXPECT_EQ(weightPlaneSet(IndexEngine::Auto, big_n, 64),
-              PlaneSet::Bytes);
-
-    EXPECT_STREQ(indexEngineName(IndexEngine::Auto), "auto");
-    EXPECT_EQ(enginePlaneSet(IndexEngine::Auto), PlaneSet::Bytes);
-}
-
-TEST(AutoEngine, DispatchFollowsResolvedEngine)
-{
-    // Under MOKEY_ENGINE=auto the production entry point must route
-    // each GEMM exactly where the decision table says: to the mag
-    // engine when the weight's mag plane is warm, to counting when
-    // the weight is cold — verified bit-for-bit against the explicit
-    // engine entry points.
-    ExpDictionary exp(1.179, -0.977, 8);
-    Quantizer quantizer(exp);
-    Rng rng(667);
-    Tensor ta(9, 80, rng.gaussianVector(720, 0.0, 1.0));
-    Tensor tw(7, 80, rng.gaussianVector(560, 0.2, 0.7));
-    const auto qa =
-        quantizer.encode(ta, quantizer.buildDictionary(ta));
-    const auto qw =
-        quantizer.encode(tw, quantizer.buildDictionary(tw));
-
-    const EngineGuard engine_guard;
-    setIndexEngine(IndexEngine::Auto);
-
-    // Cold weight -> counting.
-    EXPECT_EQ(resolveIndexEngine(qa, qw), IndexEngine::Count);
-    const Tensor cold_out = indexMatmulTransB(qa, qw);
-    const Tensor count_ref = indexMatmulTransBCounting(qa, qw);
-    ASSERT_EQ(cold_out.raw(), count_ref.raw());
-
-    // Pin the mag plane -> the same GEMM now resolves to mag.
-    qw.pinPlanes(PlaneSet::Mag);
-    EXPECT_EQ(resolveIndexEngine(qa, qw), IndexEngine::Mag);
-    const Tensor warm_out = indexMatmulTransB(qa, qw);
-    const Tensor mag_ref = indexMatmulTransBMag(qa, qw);
-    ASSERT_EQ(warm_out.raw(), mag_ref.raw());
-
-    // The scalar pin dispatches identically.
-    ASSERT_EQ(indexMatmulTransBScalar(qa, qw).raw(),
-              warm_out.raw());
-
-    // A fixed selection bypasses the heuristic entirely.
-    setIndexEngine(IndexEngine::Count);
-    EXPECT_EQ(resolveIndexEngine(qa, qw), IndexEngine::Count);
-}
-
 TEST(FusedEncodeGemm, BitIdenticalToUnfusedPerEngine)
 {
     // The engines consume only planes + dictionary, and the fused
@@ -708,29 +532,28 @@ TEST(FusedEncodeGemm, BitIdenticalToUnfusedPerEngine)
     const auto qa_ref = quantizer.encode(ta, da);
     const auto qw = quantizer.encode(tw, dw);
 
-    const EngineGuard engine_guard;
     const ThreadCountGuard thread_guard;
     const size_t hw = std::max<size_t>(
         1, std::thread::hardware_concurrency());
+    const auto gemm = [](IndexEngine e, const QuantizedTensor &a,
+                         const QuantizedTensor &w, Lane lane) {
+        return e == IndexEngine::Mag
+            ? indexMatmulTransB(a, w, nullptr, lane)
+            : indexMatmulTransBCounting(a, w, nullptr, lane);
+    };
 
     for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count, IndexEngine::Auto}) {
-        setIndexEngine(engine);
+         {IndexEngine::Mag, IndexEngine::Count}) {
         setThreadCount(1);
-        const Tensor ref = indexMatmulTransB(qa_ref, qw);
+        const Tensor ref = gemm(engine, qa_ref, qw, Lane{});
         for (const size_t t : {size_t{1}, size_t{2}, hw}) {
             setThreadCount(t);
             for (const Lane lane : {Lane{}, Lane::acquire()}) {
                 const auto qa_fused = quantizer.encodeToPlanes(
-                    ta, da,
-                    enginePlaneSet(engine == IndexEngine::Auto
-                                       ? IndexEngine::Count
-                                       : engine),
-                    lane);
-                const Tensor out =
-                    indexMatmulTransB(qa_fused, qw, nullptr, lane);
+                    ta, da, enginePlaneSet(engine), lane);
+                const Tensor out = gemm(engine, qa_fused, qw, lane);
                 ASSERT_EQ(out.raw(), ref.raw())
-                    << "engine=" << indexEngineName(engine)
+                    << "engine=" << static_cast<int>(engine)
                     << " threads=" << t << " lane=" << lane.id();
             }
         }
@@ -1280,9 +1103,7 @@ TEST(MagKBlock, FarOutliersForceKBlock32AndStayExact)
             setThreadCount(t);
             const std::string at = "n=" + std::to_string(n) +
                 " threads=" + std::to_string(t);
-            ASSERT_EQ(indexMatmulTransBMag(qa, qw).raw(), want.raw()) << at;
-            ASSERT_EQ(indexMatmulTransBMagScalar(qa, qw).raw(), want.raw())
-                << at;
+            ASSERT_EQ(indexMatmulTransB(qa, qw).raw(), want.raw()) << at;
             ASSERT_EQ(indexMatmulTransBFused(qa, qw, IndexEngine::Mag,
                                              nullptr, nullptr,
                                              PlaneSet::Mag, true)
@@ -1310,25 +1131,23 @@ TEST(WeightStationarySplit, RuleFollowsWeightPlaneSize)
 {
     // Reduced-model weight sites (planes far below 1 MiB) and attention
     // act x act GEMMs keep row bands; every BERT-base weight site
-    // splits weight-stationary under both engines.
+    // splits weight-stationary.
     const ModelConfig r = reduced(bertBase(), 8);
     const ModelConfig b = bertBase();
     const size_t hd = b.headDim();
-    for (const IndexEngine e : {IndexEngine::Mag, IndexEngine::Count}) {
-        for (const auto &nk : {std::make_pair(r.hidden, r.hidden),
-                               std::make_pair(r.ffn, r.hidden),
-                               std::make_pair(r.hidden, r.ffn)})
-            EXPECT_FALSE(weightStationarySplit(nk.first, nk.second, e))
-                << "reduced n=" << nk.first << " k=" << nk.second;
-        for (const auto &nk : {std::make_pair(b.hidden, b.hidden),
-                               std::make_pair(b.ffn, b.hidden),
-                               std::make_pair(b.hidden, b.ffn)})
-            EXPECT_TRUE(weightStationarySplit(nk.first, nk.second, e))
-                << "bert n=" << nk.first << " k=" << nk.second;
-        for (const size_t seq : {1, 4, 16, 128, 512}) {
-            EXPECT_FALSE(weightStationarySplit(seq, hd, e));
-            EXPECT_FALSE(weightStationarySplit(hd, seq, e));
-        }
+    for (const auto &nk : {std::make_pair(r.hidden, r.hidden),
+                           std::make_pair(r.ffn, r.hidden),
+                           std::make_pair(r.hidden, r.ffn)})
+        EXPECT_FALSE(weightStationarySplit(nk.first, nk.second))
+            << "reduced n=" << nk.first << " k=" << nk.second;
+    for (const auto &nk : {std::make_pair(b.hidden, b.hidden),
+                           std::make_pair(b.ffn, b.hidden),
+                           std::make_pair(b.hidden, b.ffn)})
+        EXPECT_TRUE(weightStationarySplit(nk.first, nk.second))
+            << "bert n=" << nk.first << " k=" << nk.second;
+    for (const size_t seq : {1, 4, 16, 128, 512}) {
+        EXPECT_FALSE(weightStationarySplit(seq, hd));
+        EXPECT_FALSE(weightStationarySplit(hd, seq));
     }
 
     // A 1-thread pool runs a weight-stationary GEMM without submitting
@@ -1361,15 +1180,18 @@ TEST(WeightStationarySplit, RuleFollowsWeightPlaneSize)
 /**
  * indexMatmulTransBFused under both splits — BERT-base site shapes
  * (weight-stationary, plus a k off the 16-lane grid) and a
- * reduced-model shape (row bands) — against the scalar engine
+ * reduced-model shape (row bands) — against a reference product
  * followed by the epilogue and encodeToPlanes: dense values, output
- * planes, sidecars, fold sums and pair stats bit for bit. Row counts
- * cover decode steps, the 4-row blocks and their tails. Each (shape,
- * rows, engine) runs 1, 2 and 4 threads x default and acquired lanes,
+ * planes, sidecars, fold sums and pair stats bit for bit. The mag
+ * reference is the int64 grid oracle; the count reference is the
+ * unfused counting GEMM on one thread, so the count arm pins its
+ * invariance across splits, threads and lanes. Row counts cover
+ * decode steps, the 4-row blocks and their tails. Each (shape, rows,
+ * engine) runs 1, 2 and 4 threads x default and acquired lanes,
  * rotating through the three output modes (planes + epilogue +
  * dense, planes + epilogue, dense only).
  */
-TEST(WeightStationaryFused, BitIdenticalToScalarThenEncode)
+TEST(WeightStationaryFused, BitIdenticalToReferenceThenEncode)
 {
     ExpDictionary exp(1.179, -0.977, 8);
     Quantizer quantizer(exp);
@@ -1404,13 +1226,18 @@ TEST(WeightStationaryFused, BitIdenticalToScalarThenEncode)
             for (const IndexEngine e :
                  {IndexEngine::Mag, IndexEngine::Count}) {
                 const std::string what = std::string("engine=") +
-                    indexEngineName(e) + " m=" + std::to_string(m) +
+                    std::to_string(static_cast<int>(e)) +
+                    " m=" + std::to_string(m) +
                     " n=" + std::to_string(s.n) +
                     " k=" + std::to_string(s.k);
+                setThreadCount(1);
                 IndexMatmulStats ref_stats;
-                const Tensor ref = e == IndexEngine::Mag
-                    ? indexMatmulTransBMagScalar(qa, qw, &ref_stats)
-                    : indexMatmulTransBCountingScalar(qa, qw, &ref_stats);
+                const Tensor unfused = e == IndexEngine::Mag
+                    ? indexMatmulTransB(qa, qw, &ref_stats)
+                    : indexMatmulTransBCounting(qa, qw, &ref_stats);
+                const Tensor ref =
+                    e == IndexEngine::Mag ? gridOracle(qa, qw) : unfused;
+                ASSERT_EQ(unfused.raw(), ref.raw()) << what;
                 Tensor ref_epi = ref;
                 for (size_t i = 0; i < m; ++i)
                     epi(i, ref_epi.row(i), s.n);
@@ -1506,8 +1333,7 @@ TEST(MagOutlierFold, MatchesDecodedOracleAtForcedOutlierColumns)
     // weight-stationary cut-off at 2 B per mag element.
     for (const NK s : {NK{40, 200, false}, NK{768, 768, true},
                        NK{40, 520, false}}) {
-        ASSERT_EQ(weightStationarySplit(s.n, s.k, IndexEngine::Mag),
-                  s.weightStationary);
+        ASSERT_EQ(weightStationarySplit(s.n, s.k), s.weightStationary);
         const size_t m = 6;
         // One column in 40 of each kind: few enough that the forced
         // values sit far beyond each dictionary's outlier cut.
@@ -1578,16 +1404,14 @@ TEST(MagOutlierFold, MatchesDecodedOracleAtForcedOutlierColumns)
                           static_cast<uint64_t>(m) * s.n * s.k - want_ot)
                     << what << " " << path;
             };
-            IndexMatmulStats fused_stats, unfused_stats, scalar_stats;
+            IndexMatmulStats fused_stats, unfused_stats;
             check(indexMatmulTransBFused(qa, qw, IndexEngine::Mag,
                                          nullptr, nullptr, PlaneSet::Mag,
                                          true, nullptr, &fused_stats)
                       .dense,
                   fused_stats, "fused");
-            check(indexMatmulTransBMag(qa, qw, &unfused_stats),
+            check(indexMatmulTransB(qa, qw, &unfused_stats),
                   unfused_stats, "unfused");
-            check(indexMatmulTransBMagScalar(qa, qw, &scalar_stats),
-                  scalar_stats, "unfused scalar");
         }
     }
 }

@@ -13,6 +13,7 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
@@ -104,141 +105,82 @@ TEST_F(ServingFixture, BatchedForwardBitIdenticalAllModesAndThreads)
     setThreadCount(original);
 }
 
-TEST_F(ServingFixture, EngineSelectorForwardBitIdenticalBothModes)
+TEST_F(ServingFixture, ForwardBitIdenticalAcrossThreadsAndLanesBothModes)
 {
-    // Switching the index-domain GEMM backend (MOKEY_ENGINE /
-    // setIndexEngine) must never change results within an engine:
-    // for each engine and each QuantMode, forward passes are
-    // bit-identical across thread counts {1, 2, hw} and lanes —
-    // the engines fix per-output-element arithmetic order, and
-    // everything above them is already order-invariant.
+    // For each QuantMode, forward passes are bit-identical across
+    // thread counts {1, 2, hw} and lanes — the engine fixes
+    // per-output-element arithmetic order, and everything above it
+    // is already order-invariant.
     const Tensor in = model.makeInput(11, 919);
-    const EngineGuard engine_guard;
     const ThreadCountGuard thread_guard;
     const size_t hw = std::max<size_t>(
         1, std::thread::hardware_concurrency());
 
-    for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count,
-          IndexEngine::Auto}) {
-        setIndexEngine(engine);
-        for (const QuantMode mode :
-             {QuantMode::WeightsOnly,
-              QuantMode::WeightsAndActivations}) {
-            setThreadCount(1);
-            const Tensor ref = pipeline.forward(in, mode);
-            for (const size_t t : {size_t{1}, size_t{2}, hw}) {
-                setThreadCount(t);
-                for (const Lane lane : {Lane{}, Lane::acquire()}) {
-                    expectBitIdentical(
-                        ref, pipeline.forward(in, mode, lane),
-                        std::string("engine=") +
-                            indexEngineName(engine) + " mode=" +
-                            std::to_string(static_cast<int>(mode)) +
-                            " threads=" + std::to_string(t) +
-                            " lane=" + std::to_string(lane.id()));
-                }
-                // Batched serving path under the same engine.
-                const auto outs =
-                    pipeline.forwardBatch({in, in}, mode);
-                ASSERT_EQ(outs.size(), 2u);
-                for (const Tensor &out : outs)
-                    expectBitIdentical(
-                        ref, out,
-                        std::string("batched engine=") +
-                            indexEngineName(engine) +
-                            " threads=" + std::to_string(t));
+    for (const QuantMode mode :
+         {QuantMode::WeightsOnly, QuantMode::WeightsAndActivations}) {
+        setThreadCount(1);
+        const Tensor ref = pipeline.forward(in, mode);
+        for (const size_t t : {size_t{1}, size_t{2}, hw}) {
+            setThreadCount(t);
+            for (const Lane lane : {Lane{}, Lane::acquire()}) {
+                expectBitIdentical(
+                    ref, pipeline.forward(in, mode, lane),
+                    "mode=" + std::to_string(static_cast<int>(mode)) +
+                        " threads=" + std::to_string(t) +
+                        " lane=" + std::to_string(lane.id()));
             }
+            // Batched serving path.
+            const auto outs = pipeline.forwardBatch({in, in}, mode);
+            ASSERT_EQ(outs.size(), 2u);
+            for (const Tensor &out : outs)
+                expectBitIdentical(ref, out,
+                                   "batched threads=" +
+                                       std::to_string(t));
         }
     }
 }
 
-TEST_F(ServingFixture, FusedEncodeForwardBitIdenticalToUnfused)
+TEST_F(ServingFixture, CountersMatchAcrossForwardEntryPoints)
 {
-    // The fused single-pass activation quantizer is a perf
-    // optimization, never a numerics change: forward and
-    // forwardBatch outputs must match the seed encode()+derivePlanes
-    // path bit-for-bit across engines x QuantModes x thread counts x
-    // lanes.
-    const auto inputs = raggedInputs();
-    const Tensor in = model.makeInput(10, 321);
-    const EngineGuard engine_guard;
-    const ThreadCountGuard thread_guard;
-    const FusedEncodeGuard fused_guard;
-    const size_t hw = std::max<size_t>(
-        1, std::thread::hardware_concurrency());
-
-    for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count,
-          IndexEngine::Auto}) {
-        setIndexEngine(engine);
-        for (const QuantMode mode :
-             {QuantMode::WeightsOnly,
-              QuantMode::WeightsAndActivations}) {
-            setFusedActEncode(false);
-            setThreadCount(1);
-            const Tensor ref = pipeline.forward(in, mode);
-            std::vector<Tensor> brefs;
-            for (const Tensor &bin : inputs)
-                brefs.push_back(pipeline.forward(bin, mode));
-
-            setFusedActEncode(true);
-            for (const size_t t : {size_t{1}, size_t{2}, hw}) {
-                setThreadCount(t);
-                for (const Lane lane : {Lane{}, Lane::acquire()}) {
-                    expectBitIdentical(
-                        ref, pipeline.forward(in, mode, lane),
-                        std::string("fused engine=") +
-                            indexEngineName(engine) + " mode=" +
-                            std::to_string(static_cast<int>(mode)) +
-                            " threads=" + std::to_string(t));
-                }
-                const auto outs =
-                    pipeline.forwardBatch(inputs, mode);
-                ASSERT_EQ(outs.size(), inputs.size());
-                for (size_t i = 0; i < outs.size(); ++i)
-                    expectBitIdentical(
-                        brefs[i], outs[i],
-                        std::string("fused batch engine=") +
-                            indexEngineName(engine) +
-                            " threads=" + std::to_string(t) +
-                            " req=" + std::to_string(i));
-            }
-        }
-    }
-}
-
-TEST_F(ServingFixture, FusedEncodeCountersMatchUnfused)
-{
-    // The fused path feeds the activation outlier-rate counters from
-    // the sidecar instead of a code walk; starting two fresh
-    // pipelines from zero and running the same workload down each
-    // path must land on the exact same cumulative fraction — and the
-    // GEMM pair-routing stats must match too.
-    const FusedEncodeGuard fused_guard;
+    // forward()/forwardBatch() and chained forwardStep() run the same
+    // layer step, so two fresh pipelines serving the same sequences
+    // through either entry point must land on the exact same
+    // activation outlier fraction and GEMM pair-routing stats.
     std::vector<Tensor> batch;
     for (int i = 0; i < 2; ++i)
         batch.push_back(model.makeInput(12, 300 + i));
     const Tensor in = model.makeInput(8, 333);
+    const QuantMode mode = QuantMode::WeightsAndActivations;
 
-    auto run = [&](bool fused) {
-        setFusedActEncode(fused);
+    auto run = [&](bool stepwise) {
         QuantizedTransformer p(model, quantizer);
         p.quantizeWeights();
         p.profileActivations(batch);
-        p.forward(in, QuantMode::WeightsAndActivations);
-        p.forwardBatch(batch, QuantMode::WeightsAndActivations);
+        if (stepwise) {
+            const auto chain = [&](const Tensor &x,
+                                   const std::vector<size_t> &starts) {
+                Tensor y = x;
+                for (size_t l = 0; l < p.stepCount(); ++l)
+                    y = p.forwardStep(l, y, starts, mode);
+                return y;
+            };
+            mapStackedBatch({in}, chain);
+            mapStackedBatch(batch, chain);
+        } else {
+            p.forward(in, mode);
+            p.forwardBatch(batch, mode);
+        }
         return std::tuple<double, uint64_t, uint64_t>(
             p.activationOutlierFraction(),
             p.matmulStats().gaussianPairs.load(),
             p.matmulStats().outlierPairs.load());
     };
-    const auto unfused = run(false);
-    const auto fused = run(true);
-    EXPECT_DOUBLE_EQ(std::get<0>(fused), std::get<0>(unfused));
-    EXPECT_GT(std::get<0>(fused), 0.0);
-    EXPECT_EQ(std::get<1>(fused), std::get<1>(unfused));
-    EXPECT_EQ(std::get<2>(fused), std::get<2>(unfused));
+    const auto whole = run(false);
+    const auto steps = run(true);
+    EXPECT_DOUBLE_EQ(std::get<0>(steps), std::get<0>(whole));
+    EXPECT_GT(std::get<0>(whole), 0.0);
+    EXPECT_EQ(std::get<1>(steps), std::get<1>(whole));
+    EXPECT_EQ(std::get<2>(steps), std::get<2>(whole));
 }
 
 TEST_F(ServingFixture, SingleSequenceBatchMatchesForward)

@@ -3,7 +3,7 @@
  * Shared RAII guards for tests that mutate process-wide knobs: the
  * destructors restore the prior value even when an ASSERT_* bails
  * out of the test body mid-sweep, so one failing parity test cannot
- * leak an engine selection or pool size into every later test in
+ * leak a pool size or an armed fault site into every later test in
  * the binary.
  */
 
@@ -14,8 +14,6 @@
 
 #include "common/fault.hh"
 #include "common/parallel.hh"
-#include "model/pipeline.hh"
-#include "quant/engine.hh"
 
 namespace mokey
 {
@@ -25,41 +23,6 @@ struct ThreadCountGuard
 {
     size_t prior = threadCount();
     ~ThreadCountGuard() { setThreadCount(prior); }
-};
-
-/** Restores the engine selection even when an assertion fails out. */
-struct EngineGuard
-{
-    IndexEngine prior = indexEngine();
-    ~EngineGuard() { setIndexEngine(prior); }
-};
-
-/** Restores the activation-encode path selection likewise. */
-struct FusedEncodeGuard
-{
-    bool prior = fusedActEncode();
-    ~FusedEncodeGuard() { setFusedActEncode(prior); }
-};
-
-/** Restores the graph-fusion path selection likewise. */
-struct GraphFuseGuard
-{
-    bool prior = graphFuse();
-    ~GraphFuseGuard() { setGraphFuse(prior); }
-};
-
-/** Restores the engine self-calibration flag likewise. */
-struct CalibrateGuard
-{
-    bool prior = engineCalibration();
-    ~CalibrateGuard() { setEngineCalibration(prior); }
-};
-
-/** Restores the Auto-engine mag byte budget likewise. */
-struct MagBudgetGuard
-{
-    size_t prior = autoMagBudgetBytes();
-    ~MagBudgetGuard() { setAutoMagBudgetBytes(prior); }
 };
 
 /**
